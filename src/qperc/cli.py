@@ -9,19 +9,19 @@ success, 2 for usage or validation problems, 1 for internal errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .ioutil import atomic_write_bytes, atomic_write_text
-from .perceptron import MAX_DATA_QUBITS, MODES, PerceptronConfig, measure
+from .perceptron import MAX_DATA_QUBITS, MODES, PerceptronConfig, check_value, measure
 from .render import RENDER_FORMATS, pattern_grid, render_ascii, render_pgm
 from .sweep import (
     MAX_SWEEP_QUBITS,
     SWEEP_FORMATS,
     compute_sweep,
     sample_sweep_cells,
+    save_sampled_cells,
     save_sweep,
 )
 from .training import CONVERGENCE_MODES, TrainConfig, save_trace, train
@@ -50,12 +50,6 @@ def _check_n(n: int) -> None:
         raise _UsageError(f"--n must be between 1 and {MAX_DATA_QUBITS}, got {n}")
 
 
-def _check_value_flag(value: int, n: int, flag: str) -> None:
-    top = (1 << (1 << n)) - 1
-    if not 0 <= value <= top:
-        raise _UsageError(f"{flag} must be in [0, {top}] for n={n}, got {value}")
-
-
 def _perceptron_config(args: argparse.Namespace) -> PerceptronConfig:
     _check_n(args.n)
     if args.shots < 1:
@@ -70,28 +64,11 @@ def _perceptron_config(args: argparse.Namespace) -> PerceptronConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _perceptron_config(args)
-    _check_value_flag(args.input, args.n, "--input")
-    _check_value_flag(args.weight, args.n, "--weight")
+    check_value(args.input, args.n, "--input")
+    check_value(args.weight, args.n, "--weight")
     p = measure(args.input, args.weight, config)
     print(format(p, ".12g"))
     return 0
-
-
-def _write_sampled_cells(cells, config, seed, path, fmt) -> None:
-    if fmt == "csv":
-        lines = ["input,weight,probability"]
-        for i, w, p in cells:
-            lines.append(f"{i},{w},{format(p, '.12g')}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        return
-    payload = {
-        "n": config.n,
-        "mode": config.mode,
-        "shots": config.shots,
-        "seed": seed,
-        "cells": [[i, w, float(format(p, ".12g"))] for i, w, p in cells],
-    }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -102,7 +79,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"--force-sample must be at least 1, got {args.force_sample}"
             )
         cells = sample_sweep_cells(config, args.force_sample, config.seed)
-        _write_sampled_cells(cells, config, config.seed, args.out, args.format)
+        save_sampled_cells(cells, config, args.out, args.format)
         print(f"wrote {len(cells)} sampled cells to {args.out}")
         return 0
     if args.n > MAX_SWEEP_QUBITS:
@@ -126,7 +103,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     config = _perceptron_config(args)
-    _check_value_flag(args.weight, args.n, "--weight")
+    check_value(args.weight, args.n, "--weight")
     dataset = generate_dataset(args.weight, config)
     save_dataset(dataset, args.out)
     ones = sum(ex.label for ex in dataset.examples)
@@ -140,7 +117,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     optimal = args.optimal_weight
     if optimal is None:
         optimal = dataset.optimal_weight
-    _check_value_flag(optimal, dataset.n, "--optimal-weight")
+    check_value(optimal, dataset.n, "--optimal-weight")
     if not 0.0 < args.lr <= 1.0:
         raise _UsageError(f"--lr must be in (0, 1], got {args.lr}")
     if args.max_epochs < 1:
@@ -169,7 +146,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     _check_n(args.n)
-    _check_value_flag(args.value, args.n, "--value")
+    check_value(args.value, args.n, "--value")
     grid = pattern_grid(args.value, args.n, args.rows, args.cols)
     if args.format == "ascii":
         text = render_ascii(grid)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .ioutil import atomic_write_text
-from .perceptron import PerceptronConfig, _check_value, measure
+from .perceptron import MAX_DATA_QUBITS, MODES, PerceptronConfig, check_value, measure
 
 CSV_HEADER = "value,label,probability"
 
@@ -52,7 +52,7 @@ def label_from_probability(probability: float) -> int:
 
 def generate_dataset(optimal_weight: int, config: PerceptronConfig) -> Dataset:
     """Label every value in ascending order against `optimal_weight`."""
-    m = _check_value(optimal_weight, config.n, "optimal weight")
+    m = check_value(optimal_weight, config.n, "optimal weight")
     examples = []
     for value in range(1 << m):
         p = measure(value, optimal_weight, config)
@@ -77,13 +77,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     for ex in dataset.examples:
         lines.append(f"{ex.value},{ex.label},{format(ex.probability, '.12g')}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-    meta = {
-        "n": dataset.n,
-        "optimal_weight": dataset.optimal_weight,
-        "mode": dataset.mode,
-        "shots": dataset.shots,
-        "seed": dataset.seed,
-    }
+    meta = {key: getattr(dataset, key) for key in _META_KEYS}
     atomic_write_text(
         _meta_path(path), json.dumps(meta, sort_keys=True, indent=2) + "\n"
     )
@@ -107,8 +101,23 @@ def _parse_meta(path: Path) -> dict:
     for key in _META_KEYS:
         if key not in meta:
             raise DatasetFormatError(f"{path}: missing field {key!r}")
-    if not isinstance(meta["n"], int) or not 1 <= meta["n"] <= 4:
-        raise DatasetFormatError(f"{path}: field 'n' must be an integer in [1, 4]")
+    for key in ("n", "optimal_weight", "seed", "shots"):
+        if type(meta[key]) is not int:  # JSON true/false would pass isinstance
+            raise DatasetFormatError(
+                f"{path}: field {key!r} must be an integer, got {meta[key]!r}"
+            )
+    if not 1 <= meta["n"] <= MAX_DATA_QUBITS:
+        raise DatasetFormatError(
+            f"{path}: field 'n' must be an integer in [1, {MAX_DATA_QUBITS}]"
+        )
+    if meta["mode"] not in MODES:
+        raise DatasetFormatError(
+            f"{path}: field 'mode' must be one of {MODES}, got {meta['mode']!r}"
+        )
+    try:
+        check_value(meta["optimal_weight"], meta["n"], "field 'optimal_weight'")
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
     return meta
 
 
@@ -190,11 +199,4 @@ def load_dataset(path: str | Path) -> Dataset:
             )
         examples.append(LabeledExample(value, label, probability))
 
-    return Dataset(
-        n=meta["n"],
-        optimal_weight=meta["optimal_weight"],
-        examples=examples,
-        mode=meta["mode"],
-        shots=meta["shots"],
-        seed=meta["seed"],
-    )
+    return Dataset(examples=examples, **{key: meta[key] for key in _META_KEYS})

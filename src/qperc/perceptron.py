@@ -19,6 +19,11 @@ The sign flips are realized gate by gate: for each position j carrying -1
 an MCZ over all n data qubits is conjugated by X on the qubits whose bit
 in j is 0, which flips the phase of exactly |j>. The construction costs at
 most m MCZ and 2*m*n X gates per sign vector.
+
+Each evaluation assembles its whole gate list first and wraps it in one
+`Circuit`, so every gate is validated once. `check_value` is the single
+range rule for encoded values; the dataset, training, rendering and CLI
+layers all call it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 
 from .statevector import (
     Circuit,
+    GateOp,
     h,
     mcx,
     mcz,
@@ -84,7 +90,8 @@ class SignVector:
         return 1 << self.n
 
 
-def _check_value(value: int, n: int, what: str) -> int:
+def check_value(value: int, n: int, what: str) -> int:
+    """Return m = 2^n, or raise ValueError naming `what` if value >= 2^m or < 0."""
     m = 1 << n
     if not 0 <= value < (1 << m):
         raise ValueError(
@@ -100,15 +107,14 @@ def encode_value(value: int, n: int) -> SignVector:
     signs[j]: a set bit becomes -1, a clear bit +1. encode_value(12, 2)
     gives (-1, -1, 1, 1).
     """
-    m = _check_value(value, n, "value")
+    m = check_value(value, n, "value")
     signs = tuple(-1 if (value >> (m - 1 - j)) & 1 else 1 for j in range(m))
     return SignVector(n=n, signs=signs, source_value=value)
 
 
-def build_sign_oracle(sign_vector: SignVector) -> Circuit:
-    """Diagonal circuit flipping the phase of |j> wherever signs[j] is -1."""
+def _sign_flips(sign_vector: SignVector) -> list[GateOp]:
+    """One X-MCZ-X sandwich per -1 entry; each flips the phase of |j>."""
     n = sign_vector.n
-    m = 1 << n
     all_qubits = range(n)
     ops = []
     for j, sign in enumerate(sign_vector.signs):
@@ -120,15 +126,30 @@ def build_sign_oracle(sign_vector: SignVector) -> Circuit:
         ops.append(mcz(all_qubits))
         for q in zero_qubits:
             ops.append(x(q))
-    return Circuit(n, ops)
+    return ops
+
+
+def _input_prep(value: int, n: int) -> list[GateOp]:
+    check_value(value, n, "input value")
+    return [h(q) for q in range(n)] + _sign_flips(encode_value(value, n))
+
+
+def _weight_unprep(weight: int, n: int) -> list[GateOp]:
+    check_value(weight, n, "weight")
+    ops = _sign_flips(encode_value(weight, n))
+    ops.extend(h(q) for q in range(n))
+    ops.extend(x(q) for q in range(n))
+    return ops
+
+
+def build_sign_oracle(sign_vector: SignVector) -> Circuit:
+    """Diagonal circuit flipping the phase of |j> wherever signs[j] is -1."""
+    return Circuit(sign_vector.n, _sign_flips(sign_vector))
 
 
 def build_input_prep(value: int, n: int) -> Circuit:
     """Map |0...0> to the sign-encoded superposition for `value`."""
-    _check_value(value, n, "input value")
-    ops = [h(q) for q in range(n)]
-    ops.extend(build_sign_oracle(encode_value(value, n)).ops)
-    return Circuit(n, ops)
+    return Circuit(n, _input_prep(value, n))
 
 
 def build_weight_unprep(weight: int, n: int) -> Circuit:
@@ -137,17 +158,12 @@ def build_weight_unprep(weight: int, n: int) -> Circuit:
     Runs the weight's own sign oracle (self-inverse), undoes the Hadamard
     layer, then flips every qubit so a perfect match lands on |1...1>.
     """
-    _check_value(weight, n, "weight")
-    ops = list(build_sign_oracle(encode_value(weight, n)).ops)
-    ops.extend(h(q) for q in range(n))
-    ops.extend(x(q) for q in range(n))
-    return Circuit(n, ops)
+    return Circuit(n, _weight_unprep(weight, n))
 
 
 def assemble_perceptron_circuit(input_value: int, weight: int, n: int) -> Circuit:
     """Full evaluation circuit on n data qubits plus the ancilla (qubit n)."""
-    ops = list(build_input_prep(input_value, n).ops)
-    ops.extend(build_weight_unprep(weight, n).ops)
+    ops = _input_prep(input_value, n) + _weight_unprep(weight, n)
     ops.append(mcx(range(n), n))
     return Circuit(n + 1, ops)
 
@@ -158,8 +174,8 @@ def closed_form_probability(input_value: int, weight: int, n: int) -> float:
     Computes ((sum_j i_j * w_j) / m)^2 with integer arithmetic and a single
     final division, so it is exact up to one float rounding.
     """
-    m = _check_value(input_value, n, "input value")
-    _check_value(weight, n, "weight")
+    m = check_value(input_value, n, "input value")
+    check_value(weight, n, "weight")
     in_signs = encode_value(input_value, n).signs
     w_signs = encode_value(weight, n).signs
     dot = sum(a * b for a, b in zip(in_signs, w_signs))

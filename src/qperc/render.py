@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perceptron import _check_value
+from .perceptron import check_value
 
 FILLED_CHAR = "█"
 EMPTY_CHAR = "·"
@@ -36,7 +36,7 @@ def pattern_grid(
     grid defaults to square (2^(n/2) per side); odd n has no square layout,
     so both dimensions are then required.
     """
-    m = _check_value(value, n, "value")
+    m = check_value(value, n, "value")
     if rows is None and cols is None:
         if n % 2:
             raise ValueError(

@@ -27,6 +27,9 @@ MAX_SWEEP_QUBITS = 3
 
 SWEEP_FORMATS = ("csv", "json")
 
+# Settings both JSON formats record; SweepMatrix and PerceptronConfig share them.
+_PROVENANCE = ("n", "mode", "shots", "seed")
+
 
 @dataclass
 class SweepMatrix:
@@ -86,10 +89,14 @@ def sample_sweep_cells(
     return cells
 
 
-def save_sweep(sweep: SweepMatrix, path: str | Path, fmt: str = "csv") -> None:
-    """Write the matrix as CSV (value headers on row and column) or JSON."""
+def _check_format(fmt: str) -> None:
     if fmt not in SWEEP_FORMATS:
         raise ValueError(f"format must be one of {SWEEP_FORMATS}, got {fmt!r}")
+
+
+def save_sweep(sweep: SweepMatrix, path: str | Path, fmt: str = "csv") -> None:
+    """Write the matrix as CSV (value headers on row and column) or JSON."""
+    _check_format(fmt)
     size = sweep.probs.shape[0]
     if fmt == "csv":
         lines = ["," + ",".join(str(w) for w in range(size))]
@@ -98,14 +105,28 @@ def save_sweep(sweep: SweepMatrix, path: str | Path, fmt: str = "csv") -> None:
             lines.append(f"{i},{cells}")
         atomic_write_text(path, "\n".join(lines) + "\n")
         return
-    payload = {
-        "n": sweep.n,
-        "mode": sweep.mode,
-        "shots": sweep.shots,
-        "seed": sweep.seed,
-        "max_abs_deviation": sweep.max_abs_deviation,
-        "probs": [[float(format(p, ".12g")) for p in row] for row in sweep.probs],
-    }
+    payload = {key: getattr(sweep, key) for key in _PROVENANCE}
+    payload["max_abs_deviation"] = sweep.max_abs_deviation
+    payload["probs"] = [[float(format(p, ".12g")) for p in row] for row in sweep.probs]
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def save_sampled_cells(
+    cells: list[tuple[int, int, float]],
+    config: PerceptronConfig,
+    path: str | Path,
+    fmt: str = "csv",
+) -> None:
+    """Write sample_sweep_cells output as CSV rows or JSON with its settings."""
+    _check_format(fmt)
+    if fmt == "csv":
+        lines = ["input,weight,probability"]
+        for i, w, p in cells:
+            lines.append(f"{i},{w},{format(p, '.12g')}")
+        atomic_write_text(path, "\n".join(lines) + "\n")
+        return
+    payload = {key: getattr(config, key) for key in _PROVENANCE}
+    payload["cells"] = [[i, w, float(format(p, ".12g"))] for i, w, p in cells]
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .ioutil import atomic_write_text
-from .perceptron import PerceptronConfig, _check_value, measure
+from .perceptron import PerceptronConfig, check_value, measure
 
 ACTIONS = ("none", "flip_non_matching", "flip_matching")
 
@@ -81,6 +81,9 @@ class TrainStep:
     flipped_positions: tuple[int, ...]
     weight_before: int
     weight_after: int
+
+
+_STEP_FIELDS = {f.name for f in fields(TrainStep)}
 
 
 @dataclass
@@ -152,7 +155,7 @@ def train(dataset: Dataset, optimal_weight: int, config: TrainConfig) -> TrainRe
     """
     if dataset.n != config.n:
         raise ValueError(f"dataset is for n={dataset.n}, config is for n={config.n}")
-    m = _check_value(optimal_weight, config.n, "optimal weight")
+    m = check_value(optimal_weight, config.n, "optimal weight")
     full_mask = (1 << m) - 1
 
     def converged(w: int) -> bool:
@@ -209,29 +212,21 @@ def train(dataset: Dataset, optimal_weight: int, config: TrainConfig) -> TrainRe
 
 def save_trace(steps: Sequence[TrainStep], path: str | Path) -> None:
     """Write one JSON object per step, one step per line."""
-    lines = []
-    for step in steps:
-        lines.append(
-            json.dumps(
-                {
-                    "epoch": step.epoch,
-                    "example_value": step.example_value,
-                    "p1": step.p1,
-                    "predicted": step.predicted,
-                    "actual": step.actual,
-                    "action": step.action,
-                    "flipped_positions": list(step.flipped_positions),
-                    "weight_before": step.weight_before,
-                    "weight_after": step.weight_after,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+    # A shallow dict per step: asdict() deep-copies and wrote a 65,536-step
+    # trace 3x slower, and vars() leaves a dict attached to every step.
+    lines = [
+        json.dumps(
+            {name: getattr(step, name) for name in _STEP_FIELDS},
+            sort_keys=True,
+            separators=(",", ":"),
         )
+        for step in steps
+    ]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_trace(path: str | Path) -> list[TrainStep]:
+    """Read save_trace output; a malformed record raises ValueError naming its line."""
     steps = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -240,17 +235,11 @@ def load_trace(path: str | Path) -> list[TrainStep]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
-        steps.append(
-            TrainStep(
-                epoch=record["epoch"],
-                example_value=record["example_value"],
-                p1=record["p1"],
-                predicted=record["predicted"],
-                actual=record["actual"],
-                action=record["action"],
-                flipped_positions=tuple(record["flipped_positions"]),
-                weight_before=record["weight_before"],
-                weight_after=record["weight_after"],
+        if not isinstance(record, dict) or record.keys() != _STEP_FIELDS:
+            raise ValueError(
+                f"{path}: line {lineno}: expected an object with exactly the "
+                f"fields {sorted(_STEP_FIELDS)}"
             )
-        )
+        record["flipped_positions"] = tuple(record["flipped_positions"])
+        steps.append(TrainStep(**record))
     return steps

@@ -140,6 +140,24 @@ def test_gen_data_byte_deterministic(tmp_path):
     assert meta_a == meta_b
 
 
+@pytest.mark.parametrize(
+    "field, bad", [("n", True), ("optimal_weight", "12"), ("shots", "8"),
+                   ("seed", 1.5), ("mode", "fast")],
+)
+def test_train_mistyped_sidecar_exits_2_naming_field(tmp_path, capsys, field, bad):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(data)) == 0
+    meta_path = tmp_path / "data.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["mode"] = "sampled"
+    meta[field] = bad
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"field '{field}'" in err
+
+
 def test_gen_data_rejects_out_of_range_weight(capsys):
     assert run_cli("gen-data", "--n", "2", "--weight", "99", "--out", "x.csv") == 2
     assert "--weight" in capsys.readouterr().err

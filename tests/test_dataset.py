@@ -182,3 +182,27 @@ def test_load_rejects_incomplete_sidecar(tmp_path):
     )
     with pytest.raises(DatasetFormatError, match="missing field"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("n", True),
+        ("n", "2"),
+        ("optimal_weight", "12"),
+        ("optimal_weight", 16),
+        ("optimal_weight", -1),
+        ("shots", "8"),
+        ("shots", 8.0),
+        ("seed", False),
+        ("seed", None),
+        ("mode", "fast"),
+        ("mode", 1),
+    ],
+)
+def test_load_rejects_mistyped_sidecar_field(tmp_path, field, bad):
+    meta = {"n": 2, "optimal_weight": 0, "mode": "sampled", "shots": 8, "seed": 0}
+    meta[field] = bad
+    path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
+    with pytest.raises(DatasetFormatError, match=f"field '{field}'"):
+        load_dataset(path)

@@ -1,17 +1,23 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qperc import statevector
 from qperc.perceptron import (
     PerceptronConfig,
     assemble_perceptron_circuit,
     build_input_prep,
     build_sign_oracle,
     build_weight_unprep,
+    check_value,
     closed_form_probability,
     encode_value,
     measure,
 )
-from qperc.statevector import new_zero_state, run_circuit
+from qperc.statevector import mcx, new_zero_state, run_circuit
 
 
 def test_encode_value_reference_case():
@@ -111,6 +117,62 @@ def test_assembled_circuit_shape():
     assert last.kind == "MCX"
     assert last.target == 2
     assert last.controls == frozenset({0, 1})
+
+
+def test_assembled_circuit_is_prep_then_unprep_then_readout():
+    for n in (1, 2, 3):
+        size = 1 << (1 << n)
+        for i, w in ((0, 0), (1, size - 1), (size // 3, size // 2)):
+            expected = (
+                build_input_prep(i, n).ops
+                + build_weight_unprep(w, n).ops
+                + [mcx(range(n), n)]
+            )
+            assert assemble_perceptron_circuit(i, w, n).ops == expected
+
+
+def test_gate_kind_totals_n4_weight_626():
+    totals = Counter()
+    for value in range(1 << 16):
+        totals.update(op.kind for op in assemble_perceptron_circuit(value, 626, 4).ops)
+    assert totals == {"H": 524_288, "X": 3_407_872, "MCZ": 851_968, "MCX": 65_536}
+    assert sum(totals.values()) / (1 << 16) == 74.0
+
+
+def test_measure_builds_one_circuit(monkeypatch):
+    built = []
+    post_init = statevector.Circuit.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(statevector.Circuit, "__post_init__", counting)
+    measure(626, 12345, PerceptronConfig(n=4))
+    assert len(built) == 1
+
+
+def test_check_value_bounds_and_message():
+    assert check_value(0, 2, "weight") == 4
+    assert check_value(15, 2, "weight") == 4
+    for bad in (-1, 16):
+        with pytest.raises(ValueError, match=r"--input must be in \[0, 15\] for n=2"):
+            check_value(bad, 2, "--input")
+
+
+@st.composite
+def _pairs(draw):
+    n = draw(st.integers(1, 4))
+    top = (1 << (1 << n)) - 1
+    return n, draw(st.integers(0, top)), draw(st.integers(0, top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs())
+def test_measure_exact_equals_closed_form(pair):
+    n, i, w = pair
+    p = measure(i, w, PerceptronConfig(n=n))
+    assert abs(p - closed_form_probability(i, w, n)) < 1e-12
 
 
 def test_closed_form_reference_values():

@@ -8,6 +8,7 @@ from qperc.sweep import (
     compute_sweep,
     load_sweep_csv,
     sample_sweep_cells,
+    save_sampled_cells,
     save_sweep,
 )
 
@@ -81,6 +82,8 @@ def test_sweep_json_payload(tmp_path, sweep2):
 def test_sweep_save_rejects_unknown_format(tmp_path, sweep2):
     with pytest.raises(ValueError):
         save_sweep(sweep2, tmp_path / "sweep.xml", "xml")
+    with pytest.raises(ValueError):
+        save_sampled_cells([], PerceptronConfig(n=2), tmp_path / "cells.xml", "xml")
 
 
 def test_sweep_save_is_byte_deterministic(tmp_path, sweep2):
@@ -109,6 +112,18 @@ def test_sample_sweep_cells_deterministic():
         assert 0 <= i < 65536
         assert 0 <= w < 65536
         assert 0.0 <= p <= 1.0 + 1e-12
+
+
+def test_sampled_cells_json_payload(tmp_path):
+    config = PerceptronConfig(n=3, mode="sampled", shots=64, seed=4)
+    cells = sample_sweep_cells(config, 5, config.seed)
+    path = tmp_path / "cells.json"
+    save_sampled_cells(cells, config, path, "json")
+    payload = json.loads(path.read_text())
+    assert {k: payload[k] for k in ("n", "mode", "shots", "seed")} == {
+        "n": 3, "mode": "sampled", "shots": 64, "seed": 4,
+    }
+    assert payload["cells"] == [[i, w, p] for i, w, p in cells]
 
 
 def test_sample_sweep_cells_rejects_bad_count():

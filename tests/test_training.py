@@ -273,6 +273,30 @@ def test_trace_file_is_json_lines(tmp_path, dataset12):
     }
 
 
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda r: r.pop("p1"),
+        lambda r: r.update(extra=1),
+        lambda r: r.clear(),
+    ],
+    ids=["missing", "extra", "empty"],
+)
+def test_load_trace_rejects_wrong_fields_naming_line(tmp_path, dataset12, edit):
+    import json
+
+    path = tmp_path / "trace.jsonl"
+    save_trace(train(dataset12, 12, make_config(5)).trace, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_trace(path)
+
+
 def test_train_config_validation():
     measurement = PerceptronConfig(n=2)
     with pytest.raises(ValueError):
