@@ -33,4 +33,4 @@ with tempfile.TemporaryDirectory() as tmp:
     for line in path.read_text().splitlines()[:4]:
         print(f"  {line}")
     reloaded = load_dataset(path)
-    print(f"reloaded {len(reloaded.examples)} rows, provenance mode={reloaded.mode!r}")
+    print(f"reloaded {len(reloaded.examples)} rows, provenance mode={reloaded.config.mode!r}")

@@ -9,7 +9,7 @@ sign vector, and the squared overlap cannot tell the two apart.
 from qperc import PerceptronConfig, compute_sweep
 
 sweep = compute_sweep(PerceptronConfig(n=2))
-print(f"sweep for n = {sweep.n}: {sweep.probs.shape[0]} x {sweep.probs.shape[1]} cells")
+print(f"sweep for n = {sweep.config.n}: {sweep.probs.shape[0]} x {sweep.probs.shape[1]} cells")
 print(f"largest gap to the closed form: {sweep.max_abs_deviation:.2e}\n")
 
 # at n = 2 the normalized dot product is 0, +-1/2, or +-1, so squared

@@ -13,8 +13,6 @@ OPTIMAL_WEIGHT = 12
 
 dataset = generate_dataset(OPTIMAL_WEIGHT, PerceptronConfig(n=2))
 config = TrainConfig(
-    n=2,
-    measurement=PerceptronConfig(n=2),
     learning_rate=0.5,
     max_epochs=50,
     seed=5,
@@ -44,8 +42,6 @@ converged = sum(
         dataset,
         OPTIMAL_WEIGHT,
         TrainConfig(
-            n=2,
-            measurement=PerceptronConfig(n=2),
             learning_rate=0.5,
             max_epochs=50,
             seed=seed,

@@ -117,17 +117,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     optimal = args.optimal_weight
     if optimal is None:
         optimal = dataset.optimal_weight
-    check_value(optimal, dataset.n, "--optimal-weight")
+    check_value(optimal, dataset.config.n, "--optimal-weight")
     if not 0.0 < args.lr <= 1.0:
         raise _UsageError(f"--lr must be in (0, 1], got {args.lr}")
     if args.max_epochs < 1:
         raise _UsageError(f"--max-epochs must be at least 1, got {args.max_epochs}")
-    measurement = PerceptronConfig(
-        n=dataset.n, shots=dataset.shots, mode=dataset.mode, seed=seed
-    )
     config = TrainConfig(
-        n=dataset.n,
-        measurement=measurement,
         learning_rate=args.lr,
         max_epochs=args.max_epochs,
         seed=seed,

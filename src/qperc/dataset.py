@@ -6,8 +6,8 @@ otherwise (ties go to 1). The measured probability is stored next to each
 label so a loaded file can be audited without re-running the circuits.
 
 On disk a dataset is a CSV file with header `value,label,probability` plus
-a JSON sidecar at `<path>.meta.json` carrying n, the optimal weight, and
-the measurement provenance (mode, shots, seed). Probabilities are written
+a JSON sidecar at `<path>.meta.json` carrying the optimal weight and the
+fields of the PerceptronConfig that measured it. Probabilities are written
 with 12 significant digits; identical generation settings produce byte
 identical files.
 """
@@ -15,15 +15,15 @@ identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .ioutil import atomic_write_text
-from .perceptron import MAX_DATA_QUBITS, MODES, PerceptronConfig, check_value, measure
+from .perceptron import MODES, PerceptronConfig, check_value, measure
 
 CSV_HEADER = "value,label,probability"
 
-_META_KEYS = ("mode", "n", "optimal_weight", "seed", "shots")
+_CONFIG_KEYS = tuple(f.name for f in fields(PerceptronConfig))
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,11 @@ class LabeledExample:
 
 @dataclass
 class Dataset:
-    """All 2^(2^n) labeled values plus the settings that produced them."""
+    """All 2^(2^n) labeled values plus the settings that measured them."""
 
-    n: int
+    config: PerceptronConfig
     optimal_weight: int
     examples: list[LabeledExample]
-    mode: str
-    shots: int
-    seed: int
 
 
 def label_from_probability(probability: float) -> int:
@@ -57,14 +54,7 @@ def generate_dataset(optimal_weight: int, config: PerceptronConfig) -> Dataset:
     for value in range(1 << m):
         p = measure(value, optimal_weight, config)
         examples.append(LabeledExample(value, label_from_probability(p), p))
-    return Dataset(
-        n=config.n,
-        optimal_weight=optimal_weight,
-        examples=examples,
-        mode=config.mode,
-        shots=config.shots,
-        seed=config.seed,
-    )
+    return Dataset(config, optimal_weight, examples)
 
 
 def _meta_path(path: str | Path) -> Path:
@@ -77,7 +67,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     for ex in dataset.examples:
         lines.append(f"{ex.value},{ex.label},{format(ex.probability, '.12g')}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-    meta = {key: getattr(dataset, key) for key in _META_KEYS}
+    meta = asdict(dataset.config)
+    meta["optimal_weight"] = dataset.optimal_weight
     atomic_write_text(
         _meta_path(path), json.dumps(meta, sort_keys=True, indent=2) + "\n"
     )
@@ -87,7 +78,7 @@ class DatasetFormatError(ValueError):
     """A dataset file that cannot be parsed or violates its own invariants."""
 
 
-def _parse_meta(path: Path) -> dict:
+def _parse_meta(path: Path) -> tuple[PerceptronConfig, int]:
     try:
         raw = path.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -98,7 +89,7 @@ def _parse_meta(path: Path) -> dict:
         raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise DatasetFormatError(f"{path}: expected a JSON object")
-    for key in _META_KEYS:
+    for key in (*_CONFIG_KEYS, "optimal_weight"):
         if key not in meta:
             raise DatasetFormatError(f"{path}: missing field {key!r}")
     for key in ("n", "optimal_weight", "seed", "shots"):
@@ -106,19 +97,16 @@ def _parse_meta(path: Path) -> dict:
             raise DatasetFormatError(
                 f"{path}: field {key!r} must be an integer, got {meta[key]!r}"
             )
-    if not 1 <= meta["n"] <= MAX_DATA_QUBITS:
-        raise DatasetFormatError(
-            f"{path}: field 'n' must be an integer in [1, {MAX_DATA_QUBITS}]"
-        )
     if meta["mode"] not in MODES:
         raise DatasetFormatError(
             f"{path}: field 'mode' must be one of {MODES}, got {meta['mode']!r}"
         )
     try:
-        check_value(meta["optimal_weight"], meta["n"], "field 'optimal_weight'")
+        config = PerceptronConfig(**{key: meta[key] for key in _CONFIG_KEYS})
+        check_value(meta["optimal_weight"], config.n, "field 'optimal_weight'")
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
-    return meta
+    return config, meta["optimal_weight"]
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -130,8 +118,8 @@ def load_dataset(path: str | Path) -> Dataset:
     in ascending order.
     """
     path = Path(path)
-    meta = _parse_meta(_meta_path(path))
-    m = 1 << meta["n"]
+    config, optimal_weight = _parse_meta(_meta_path(path))
+    m = 1 << config.n
     expected_rows = 1 << m
 
     text = path.read_text(encoding="utf-8")
@@ -145,7 +133,7 @@ def load_dataset(path: str | Path) -> Dataset:
     body = lines[1:]
     if len(body) != expected_rows:
         raise DatasetFormatError(
-            f"{path}: expected {expected_rows} rows for n={meta['n']}, "
+            f"{path}: expected {expected_rows} rows for n={config.n}, "
             f"got {len(body)}"
         )
 
@@ -199,4 +187,4 @@ def load_dataset(path: str | Path) -> Dataset:
             )
         examples.append(LabeledExample(value, label, probability))
 
-    return Dataset(examples=examples, **{key: meta[key] for key in _META_KEYS})
+    return Dataset(config, optimal_weight, examples)

@@ -58,7 +58,8 @@ class PerceptronConfig:
     shots  Bernoulli draws per sampled measurement
     mode   "exact" reads the ancilla probability off the state vector,
            "sampled" estimates it from `shots` seeded draws
-    seed   RNG seed for sampled mode; ignored when mode is "exact"
+    seed   RNG seed for sampled mode, combined with each (input, weight)
+           pair; ignored when mode is "exact"
     """
 
     n: int
@@ -108,16 +109,19 @@ def encode_value(value: int, n: int) -> SignVector:
     gives (-1, -1, 1, 1).
     """
     m = check_value(value, n, "value")
-    signs = tuple(-1 if (value >> (m - 1 - j)) & 1 else 1 for j in range(m))
-    return SignVector(n=n, signs=signs, source_value=value)
+    return SignVector(n=n, signs=_signs(value, m), source_value=value)
 
 
-def _sign_flips(sign_vector: SignVector) -> list[GateOp]:
+def _signs(value: int, m: int) -> tuple[int, ...]:
+    """The m signs of an already range-checked value, MSB first."""
+    return tuple(-1 if (value >> (m - 1 - j)) & 1 else 1 for j in range(m))
+
+
+def _sign_flips(signs: tuple[int, ...], n: int) -> list[GateOp]:
     """One X-MCZ-X sandwich per -1 entry; each flips the phase of |j>."""
-    n = sign_vector.n
     all_qubits = range(n)
     ops = []
-    for j, sign in enumerate(sign_vector.signs):
+    for j, sign in enumerate(signs):
         if sign == 1:
             continue
         zero_qubits = [q for q in all_qubits if not (j >> (n - 1 - q)) & 1]
@@ -130,13 +134,13 @@ def _sign_flips(sign_vector: SignVector) -> list[GateOp]:
 
 
 def _input_prep(value: int, n: int) -> list[GateOp]:
-    check_value(value, n, "input value")
-    return [h(q) for q in range(n)] + _sign_flips(encode_value(value, n))
+    m = check_value(value, n, "input value")
+    return [h(q) for q in range(n)] + _sign_flips(_signs(value, m), n)
 
 
 def _weight_unprep(weight: int, n: int) -> list[GateOp]:
-    check_value(weight, n, "weight")
-    ops = _sign_flips(encode_value(weight, n))
+    m = check_value(weight, n, "weight")
+    ops = _sign_flips(_signs(weight, m), n)
     ops.extend(h(q) for q in range(n))
     ops.extend(x(q) for q in range(n))
     return ops
@@ -144,7 +148,7 @@ def _weight_unprep(weight: int, n: int) -> list[GateOp]:
 
 def build_sign_oracle(sign_vector: SignVector) -> Circuit:
     """Diagonal circuit flipping the phase of |j> wherever signs[j] is -1."""
-    return Circuit(sign_vector.n, _sign_flips(sign_vector))
+    return Circuit(sign_vector.n, _sign_flips(sign_vector.signs, sign_vector.n))
 
 
 def build_input_prep(value: int, n: int) -> Circuit:
@@ -176,9 +180,7 @@ def closed_form_probability(input_value: int, weight: int, n: int) -> float:
     """
     m = check_value(input_value, n, "input value")
     check_value(weight, n, "weight")
-    in_signs = encode_value(input_value, n).signs
-    w_signs = encode_value(weight, n).signs
-    dot = sum(a * b for a, b in zip(in_signs, w_signs))
+    dot = sum(a * b for a, b in zip(_signs(input_value, m), _signs(weight, m)))
     return (dot * dot) / (m * m)
 
 
@@ -186,11 +188,14 @@ def measure(input_value: int, weight: int, config: PerceptronConfig) -> float:
     """Evaluate the perceptron circuit and read out the ancilla.
 
     Exact mode returns the ancilla's probability of 1 from the final state
-    vector; sampled mode estimates it with config.shots draws seeded by
-    config.seed.
+    vector; sampled mode estimates it from config.shots draws seeded by
+    (config.seed, input_value, weight), so pairs with the same true
+    probability get independent noise and a rerun gets the same estimate.
     """
     circuit = assemble_perceptron_circuit(input_value, weight, config.n)
     state = run_circuit(circuit, new_zero_state(circuit.num_qubits))
     if config.mode == "exact":
         return prob_qubit_one(state, config.n)
-    return sample_qubit(state, config.n, config.shots, config.seed)
+    return sample_qubit(
+        state, config.n, config.shots, [config.seed, input_value, weight]
+    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -245,16 +245,18 @@ def prob_qubit_one(state: StateVector, qubit: int) -> float:
     return float(np.sum(ones.real**2 + ones.imag**2))
 
 
-def sample_qubit(state: StateVector, qubit: int, shots: int, seed: int) -> float:
-    """Estimate prob_qubit_one from `shots` Bernoulli draws.
+def sample_qubit(
+    state: StateVector, qubit: int, shots: int, seed: int | Sequence[int]
+) -> float:
+    """Estimate prob_qubit_one as the hit rate of one Binomial(shots, p) draw.
 
-    One fresh PCG64 generator is created per call from `seed`, so results
-    are bit-reproducible: same state, qubit, shots and seed give the same
+    One fresh PCG64 generator is created per call from `seed`, an int or a
+    sequence of ints as `np.random.default_rng` accepts, so results are
+    bit-reproducible: same state, qubit, shots and seed give the same
     estimate on any platform.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
-    p = prob_qubit_one(state, qubit)
-    rng = np.random.default_rng(seed)
-    hits = int(np.count_nonzero(rng.random(shots) < p))
-    return hits / shots
+    # Summed squares can overshoot 1 by an ulp, which binomial rejects.
+    p = min(prob_qubit_one(state, qubit), 1.0)
+    return int(np.random.default_rng(seed).binomial(shots, p)) / shots

@@ -15,7 +15,7 @@ squared overlap cannot see that global sign.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +27,13 @@ MAX_SWEEP_QUBITS = 3
 
 SWEEP_FORMATS = ("csv", "json")
 
-# Settings both JSON formats record; SweepMatrix and PerceptronConfig share them.
-_PROVENANCE = ("n", "mode", "shots", "seed")
-
 
 @dataclass
 class SweepMatrix:
     """probs[i][w] is the ancilla probability for input i against weight w."""
 
-    n: int
+    config: PerceptronConfig
     probs: np.ndarray
-    mode: str
-    shots: int
-    seed: int
     max_abs_deviation: float | None = None
 
 
@@ -63,14 +57,7 @@ def compute_sweep(config: PerceptronConfig) -> SweepMatrix:
                 if gap > deviation:
                     deviation = gap
             probs[i, w] = float(format(p, ".12g"))
-    return SweepMatrix(
-        n=config.n,
-        probs=probs,
-        mode=config.mode,
-        shots=config.shots,
-        seed=config.seed,
-        max_abs_deviation=deviation if exact else None,
-    )
+    return SweepMatrix(config, probs, deviation if exact else None)
 
 
 def sample_sweep_cells(
@@ -105,7 +92,7 @@ def save_sweep(sweep: SweepMatrix, path: str | Path, fmt: str = "csv") -> None:
             lines.append(f"{i},{cells}")
         atomic_write_text(path, "\n".join(lines) + "\n")
         return
-    payload = {key: getattr(sweep, key) for key in _PROVENANCE}
+    payload = asdict(sweep.config)
     payload["max_abs_deviation"] = sweep.max_abs_deviation
     payload["probs"] = [[float(format(p, ".12g")) for p in row] for row in sweep.probs]
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -125,7 +112,7 @@ def save_sampled_cells(
             lines.append(f"{i},{w},{format(p, '.12g')}")
         atomic_write_text(path, "\n".join(lines) + "\n")
         return
-    payload = {key: getattr(config, key) for key in _PROVENANCE}
+    payload = asdict(config)
     payload["cells"] = [[i, w, float(format(p, ".12g"))] for i, w, p in cells]
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 

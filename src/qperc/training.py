@@ -17,8 +17,9 @@ encodes the negated sign vector, which yields identical probabilities).
 
 Bit positions follow the usual integer convention: position 0 is the least
 significant bit. One PCG64 generator seeded with config.seed supplies the
-initial weight and every flip choice; sampled-mode measurement noise draws
-from its own stream (config.measurement.seed) and never disturbs it.
+initial weight and every flip choice. Every example is measured with the
+dataset's own settings (dataset.config), so sampled-mode noise comes from
+the dataset's seed and never disturbs the training stream.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .ioutil import atomic_write_text
-from .perceptron import PerceptronConfig, check_value, measure
+from .perceptron import check_value, measure
 
 ACTIONS = ("none", "flip_non_matching", "flip_matching")
 
@@ -42,8 +43,8 @@ CONVERGENCE_MODES = ("strict", "functional")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    n: int
-    measurement: PerceptronConfig
+    """How the weight moves; how examples are measured is dataset.config."""
+
     learning_rate: float = 0.5
     max_epochs: int = 1000
     seed: int = 0
@@ -60,11 +61,6 @@ class TrainConfig:
             raise ValueError(
                 f"convergence_mode must be one of {CONVERGENCE_MODES}, "
                 f"got {self.convergence_mode!r}"
-            )
-        if self.measurement.n != self.n:
-            raise ValueError(
-                f"measurement config is for n={self.measurement.n}, "
-                f"but training n={self.n}"
             )
 
 
@@ -153,9 +149,8 @@ def train(dataset: Dataset, optimal_weight: int, config: TrainConfig) -> TrainRe
     started; a weight that is already converged at initialization returns
     immediately with epochs_run = 0 and an empty trace.
     """
-    if dataset.n != config.n:
-        raise ValueError(f"dataset is for n={dataset.n}, config is for n={config.n}")
-    m = check_value(optimal_weight, config.n, "optimal weight")
+    measurement = dataset.config
+    m = check_value(optimal_weight, measurement.n, "optimal weight")
     full_mask = (1 << m) - 1
 
     def converged(w: int) -> bool:
@@ -174,7 +169,7 @@ def train(dataset: Dataset, optimal_weight: int, config: TrainConfig) -> TrainRe
 
     for epoch in range(1, config.max_epochs + 1):
         for ex in dataset.examples:
-            p1 = measure(ex.value, weight, config.measurement)
+            p1 = measure(ex.value, weight, measurement)
             predicted = 1 if p1 >= 0.5 else 0
             before = weight
             action = "none"

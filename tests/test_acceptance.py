@@ -139,8 +139,6 @@ def test_criterion_5_training_convergence():
     monotone_ok = True
     for seed in range(100):
         config = TrainConfig(
-            n=2,
-            measurement=PerceptronConfig(n=2),
             learning_rate=0.5,
             max_epochs=50,
             seed=seed,

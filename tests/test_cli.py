@@ -5,6 +5,7 @@ import pytest
 
 from qperc.cli import main
 from qperc.dataset import load_dataset
+from qperc.perceptron import measure
 from qperc.sweep import load_sweep_csv
 from qperc.training import load_trace
 
@@ -123,7 +124,7 @@ def test_gen_data_round_trip(tmp_path):
     out = tmp_path / "data.csv"
     assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(out)) == 0
     dataset = load_dataset(out)
-    assert dataset.n == 2
+    assert dataset.config.n == 2
     assert dataset.optimal_weight == 12
     assert [ex.value for ex in dataset.examples if ex.label == 1] == [3, 12]
 
@@ -156,6 +157,37 @@ def test_train_mistyped_sidecar_exits_2_naming_field(tmp_path, capsys, field, ba
     assert run_cli("train", "--data", str(data)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"field '{field}'" in err
+
+
+def test_train_sampled_zero_shots_sidecar_exits_2_naming_shots(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(data)) == 0
+    meta_path = tmp_path / "data.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.update(mode="sampled", shots=0)
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "shots" in err
+
+
+def test_train_sampled_measures_with_dataset_seed(tmp_path):
+    data = tmp_path / "data.csv"
+    assert run_cli(
+        "gen-data", "--n", "2", "--weight", "9", "--mode", "sampled",
+        "--shots", "64", "--seed", "6", "--out", str(data),
+    ) == 0
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli(
+        "train", "--data", str(data), "--seed", "4", "--trace-out", str(trace)
+    ) == 0
+    config = load_dataset(data).config
+    assert config.seed == 6
+    steps = load_trace(trace)
+    assert steps
+    for step in steps:
+        assert step.p1 == measure(step.example_value, step.weight_before, config)
 
 
 def test_gen_data_rejects_out_of_range_weight(capsys):

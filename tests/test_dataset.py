@@ -1,15 +1,21 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperc.dataset import (
+    Dataset,
     DatasetFormatError,
+    LabeledExample,
     generate_dataset,
     label_from_probability,
     load_dataset,
     save_dataset,
 )
-from qperc.perceptron import PerceptronConfig
+from qperc.perceptron import MODES, PerceptronConfig, measure
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +59,11 @@ def test_round_trip_exact(tmp_path, small_dataset):
     path = tmp_path / "data.csv"
     save_dataset(small_dataset, path)
     loaded = load_dataset(path)
-    assert loaded.n == small_dataset.n
+    assert loaded.config.n == small_dataset.config.n
     assert loaded.optimal_weight == small_dataset.optimal_weight
-    assert loaded.mode == small_dataset.mode
-    assert loaded.shots == small_dataset.shots
-    assert loaded.seed == small_dataset.seed
+    assert loaded.config.mode == small_dataset.config.mode
+    assert loaded.config.shots == small_dataset.config.shots
+    assert loaded.config.seed == small_dataset.config.seed
     assert len(loaded.examples) == len(small_dataset.examples)
     for got, want in zip(loaded.examples, small_dataset.examples):
         assert got.value == want.value
@@ -71,11 +77,54 @@ def test_round_trip_sampled(tmp_path):
     path = tmp_path / "sampled.csv"
     save_dataset(dataset, path)
     loaded = load_dataset(path)
-    assert loaded.mode == "sampled"
-    assert loaded.shots == 8192
-    assert loaded.seed == 17
+    assert loaded.config.mode == "sampled"
+    assert loaded.config.shots == 8192
+    assert loaded.config.seed == 17
     for got, want in zip(loaded.examples, dataset.examples):
         assert got.probability == pytest.approx(want.probability, abs=1e-12)
+
+
+def test_sampled_dataset_is_reproduced_by_its_own_config():
+    # training measures with dataset.config, so at the optimal weight every
+    # prediction equals its stored label: the optimum is a fixed point
+    config = PerceptronConfig(n=3, mode="sampled", shots=16, seed=5)
+    dataset = generate_dataset(77, config)
+    assert dataset.config == config
+    for ex in dataset.examples:
+        assert measure(ex.value, dataset.optimal_weight, dataset.config) == ex.probability
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 3))
+    config = PerceptronConfig(
+        n=n,
+        shots=draw(st.integers(1, 1 << 20)),
+        mode=draw(st.sampled_from(MODES)),
+        seed=draw(st.integers(0, 1 << 64)),
+    )
+    rows = 1 << (1 << n)
+    hits = draw(st.lists(st.integers(0, config.shots), min_size=rows, max_size=rows))
+    examples = [
+        LabeledExample(value, label_from_probability(h / config.shots), h / config.shots)
+        for value, h in enumerate(hits)
+    ]
+    return Dataset(config, draw(st.integers(0, rows - 1)), examples)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_datasets())
+def test_save_load_round_trip_property(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_dataset(dataset, path)
+        loaded = load_dataset(path)
+    assert loaded.config == dataset.config
+    assert loaded.optimal_weight == dataset.optimal_weight
+    assert loaded.examples == [
+        LabeledExample(ex.value, ex.label, float(format(ex.probability, ".12g")))
+        for ex in dataset.examples
+    ]
 
 
 def test_save_is_byte_deterministic(tmp_path, small_dataset):
@@ -181,6 +230,17 @@ def test_load_rejects_incomplete_sidecar(tmp_path):
         tmp_path, _valid_rows(), meta={"n": 2, "optimal_weight": 0}
     )
     with pytest.raises(DatasetFormatError, match="missing field"):
+        load_dataset(path)
+
+
+def test_load_rejects_sidecar_its_config_rejects(tmp_path):
+    meta = {"n": 2, "optimal_weight": 0, "mode": "sampled", "shots": 0, "seed": 0}
+    path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
+    with pytest.raises(DatasetFormatError, match="shots"):
+        load_dataset(path)
+    meta.update(mode="exact", n=5)
+    path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
+    with pytest.raises(DatasetFormatError, match="n must be between 1 and 4"):
         load_dataset(path)
 
 

@@ -1,11 +1,12 @@
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
-from qperc import statevector
+from qperc import perceptron, statevector
 from qperc.perceptron import (
     PerceptronConfig,
     assemble_perceptron_circuit,
@@ -152,6 +153,25 @@ def test_measure_builds_one_circuit(monkeypatch):
     assert len(built) == 1
 
 
+def test_measure_checks_each_value_once(monkeypatch):
+    calls = []
+
+    def counting(value, n, what):
+        calls.append(what)
+        return check_value(value, n, what)
+
+    monkeypatch.setattr(perceptron, "check_value", counting)
+    measure(626, 12345, PerceptronConfig(n=4))
+    assert calls == ["input value", "weight"]
+    calls.clear()
+    closed_form_probability(626, 12345, 4)
+    assert calls == ["input value", "weight"]
+    with pytest.raises(ValueError, match="input value"):
+        measure(16, 0, PerceptronConfig(n=2))
+    with pytest.raises(ValueError, match="weight"):
+        measure(0, 16, PerceptronConfig(n=2))
+
+
 def test_check_value_bounds_and_message():
     assert check_value(0, 2, "weight") == 4
     assert check_value(15, 2, "weight") == 4
@@ -173,6 +193,16 @@ def test_measure_exact_equals_closed_form(pair):
     n, i, w = pair
     p = measure(i, w, PerceptronConfig(n=n))
     assert abs(p - closed_form_probability(i, w, n)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs())
+def test_exact_probability_depends_only_on_distance(pair):
+    # every pair at Hamming distance d reads the same P as (0, 2^d - 1)
+    n, i, w = pair
+    config = PerceptronConfig(n=n)
+    reference = measure(0, (1 << (i ^ w).bit_count()) - 1, config)
+    assert abs(measure(i, w, config) - reference) < 1e-12
 
 
 def test_closed_form_reference_values():
@@ -241,6 +271,21 @@ def test_measure_sampled_certain_outcomes():
     config = PerceptronConfig(n=2, mode="sampled", shots=512, seed=0)
     assert measure(7, 7, config) == 1.0
     assert measure(0, 3, config) == 0.0
+
+
+def test_sampled_noise_is_independent_across_pairs_with_equal_p():
+    # n=3 against weight 77: 256 inputs share 5 true probabilities
+    shots = 16
+    config = PerceptronConfig(n=3, mode="sampled", shots=shots, seed=5)
+    groups = defaultdict(list)
+    for i in range(256):
+        groups[closed_form_probability(i, 77, 3)].append(measure(i, 77, config))
+    noisy = {p: estimates for p, estimates in groups.items() if 0.0 < p < 1.0}
+    assert len(noisy) == 3
+    for p, estimates in noisy.items():
+        assert len(set(estimates)) > 1
+        hits = sum(round(e * shots) for e in estimates)
+        assert binomtest(hits, shots * len(estimates), p).pvalue > 0.001
 
 
 def test_config_validation():

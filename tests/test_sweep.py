@@ -1,10 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperc.perceptron import PerceptronConfig
 from qperc.sweep import (
+    SweepMatrix,
     compute_sweep,
     load_sweep_csv,
     sample_sweep_cells,
@@ -20,8 +25,8 @@ def sweep2():
 
 def test_sweep_shape_and_provenance(sweep2):
     assert sweep2.probs.shape == (16, 16)
-    assert sweep2.n == 2
-    assert sweep2.mode == "exact"
+    assert sweep2.config.n == 2
+    assert sweep2.config.mode == "exact"
 
 
 def test_sweep_diagonal_and_anti_diagonal_are_one(sweep2):
@@ -67,6 +72,25 @@ def test_sweep_csv_round_trip(tmp_path, sweep2):
     np.testing.assert_array_equal(loaded, sweep2.probs)
     header = path.read_text().splitlines()[0]
     assert header == "," + ",".join(str(w) for w in range(16))
+
+
+@st.composite
+def _sweeps(draw):
+    n = draw(st.integers(1, 2))
+    size = 1 << (1 << n)
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=size * size, max_size=size * size))
+    # compute_sweep stores cells at the file format's precision
+    probs = np.array([float(format(p, ".12g")) for p in cells]).reshape(size, size)
+    return SweepMatrix(PerceptronConfig(n=n), probs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sweeps())
+def test_sweep_csv_round_trip_property(sweep):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        save_sweep(sweep, path, "csv")
+        np.testing.assert_array_equal(load_sweep_csv(path), sweep.probs)
 
 
 def test_sweep_json_payload(tmp_path, sweep2):

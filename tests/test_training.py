@@ -1,12 +1,18 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperc.dataset import generate_dataset
 from qperc.perceptron import PerceptronConfig
 from qperc.training import (
+    ACTIONS,
     TrainConfig,
+    TrainStep,
     count_non_matching_bits,
     flip_bits,
     init_weight,
@@ -32,8 +38,6 @@ def dataset12():
 
 def make_config(seed, lr=0.5, max_epochs=50, convergence="functional"):
     return TrainConfig(
-        n=2,
-        measurement=PerceptronConfig(n=2),
         learning_rate=lr,
         max_epochs=max_epochs,
         seed=seed,
@@ -297,24 +301,40 @@ def test_load_trace_rejects_wrong_fields_naming_line(tmp_path, dataset12, edit):
         load_trace(path)
 
 
+_steps = st.builds(
+    TrainStep,
+    epoch=st.integers(1, 1000),
+    example_value=st.integers(0, 65535),
+    p1=st.floats(0.0, 1.0),
+    predicted=st.integers(0, 1),
+    actual=st.integers(0, 1),
+    action=st.sampled_from(ACTIONS),
+    flipped_positions=st.lists(st.integers(0, 15), unique=True).map(
+        lambda positions: tuple(sorted(positions))
+    ),
+    weight_before=st.integers(0, 65535),
+    weight_after=st.integers(0, 65535),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_steps, max_size=20))
+def test_save_load_trace_round_trip_property(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        save_trace(steps, path)
+        assert load_trace(path) == steps
+
+
 def test_train_config_validation():
-    measurement = PerceptronConfig(n=2)
     with pytest.raises(ValueError):
-        TrainConfig(n=2, measurement=measurement, learning_rate=0.0)
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(n=2, measurement=measurement, learning_rate=1.5)
+        TrainConfig(learning_rate=1.5)
     with pytest.raises(ValueError):
-        TrainConfig(n=2, measurement=measurement, max_epochs=0)
+        TrainConfig(max_epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(n=2, measurement=measurement, convergence_mode="loose")
-    with pytest.raises(ValueError):
-        TrainConfig(n=2, measurement=PerceptronConfig(n=3))
-
-
-def test_train_rejects_mismatched_dataset(dataset12):
-    config = TrainConfig(n=3, measurement=PerceptronConfig(n=3))
-    with pytest.raises(ValueError):
-        train(dataset12, 12, config)
+        TrainConfig(convergence_mode="loose")
 
 
 def test_train_rejects_out_of_range_target(dataset12):
