@@ -78,7 +78,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(
                 f"--force-sample must be at least 1, got {args.force_sample}"
             )
-        cells = sample_sweep_cells(config, args.force_sample, config.seed)
+        cells = sample_sweep_cells(config, args.force_sample)
         save_sampled_cells(cells, config, args.out, args.format)
         print(f"wrote {len(cells)} sampled cells to {args.out}")
         return 0

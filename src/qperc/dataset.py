@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .ioutil import atomic_write_text
-from .perceptron import MODES, PerceptronConfig, check_value, measure
+from .perceptron import MODES, PerceptronConfig, check_value, measure_many
 
 CSV_HEADER = "value,label,probability"
 
@@ -50,10 +50,11 @@ def label_from_probability(probability: float) -> int:
 def generate_dataset(optimal_weight: int, config: PerceptronConfig) -> Dataset:
     """Label every value in ascending order against `optimal_weight`."""
     m = check_value(optimal_weight, config.n, "optimal weight")
-    examples = []
-    for value in range(1 << m):
-        p = measure(value, optimal_weight, config)
-        examples.append(LabeledExample(value, label_from_probability(p), p))
+    probs = measure_many(range(1 << m), optimal_weight, config).tolist()
+    examples = [
+        LabeledExample(value, label_from_probability(p), p)
+        for value, p in enumerate(probs)
+    ]
     return Dataset(config, optimal_weight, examples)
 
 

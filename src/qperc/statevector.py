@@ -4,7 +4,10 @@ Amplitude indexing is MSB-first: qubit 0 owns the most significant bit of
 the basis index, so an n-qubit register stores |b0 b1 ... b_{n-1}> at index
 b0 * 2^(n-1) + b1 * 2^(n-2) + ... + b_{n-1}. The gate set is H, X, MCZ
 (multi-controlled Z, symmetric in its qubits) and MCX (multi-controlled X).
-All four are self-inverse and norm-preserving.
+All four are self-inverse and norm-preserving. Every gate kernel acts on
+the last axis, so `run_circuit_rows` runs one circuit over a block of
+states, one state per row, with the same arithmetic per row as
+`run_circuit` applies to a single state.
 
 Registers are capped at 24 qubits; a dense complex128 vector at that size
 is 256 MB, which is as far as this simulator is meant to go.
@@ -196,21 +199,33 @@ def _mcx_perm(num_qubits: int, controls: frozenset[int], target: int) -> np.ndar
     return perm
 
 
+def _permute(amps: np.ndarray, perm: np.ndarray) -> None:
+    """Reorder the last axis of `amps` in place: amps[..., k] = amps[..., perm[k]]."""
+    # On one state, plain indexing is fastest (0.6 us at 5 qubits against
+    # 1.4 us for take(), which also copies a read-only index array first:
+    # 8 MB per gate at 20 qubits). On a block, take() is 2.5x faster.
+    if amps.ndim == 1:
+        amps[:] = amps[perm]
+    else:
+        amps[...] = amps.take(perm, axis=-1)
+
+
 def _apply_inplace(amps: np.ndarray, num_qubits: int, op: GateOp) -> None:
+    """Apply one gate along the last axis of a C-contiguous state or block."""
     kind = op.kind
     if kind == "X":
-        amps[:] = amps[_x_perm(num_qubits, op.target)]
+        _permute(amps, _x_perm(num_qubits, op.target))
     elif kind == "MCZ":
         amps *= _mcz_signs(num_qubits, op.controls)
     elif kind == "H":
-        view = amps.reshape(1 << op.target, 2, -1)
-        lo = view[:, 0, :] + view[:, 1, :]
-        hi = view[:, 0, :] - view[:, 1, :]
-        view[:, 0, :] = lo
-        view[:, 1, :] = hi
+        view = amps.reshape(amps.shape[:-1] + (1 << op.target, 2, -1))
+        zero, one = view[..., 0, :], view[..., 1, :]
+        diff = zero - one
+        zero += one
+        one[...] = diff
         amps *= _INV_SQRT2
     elif kind == "MCX":
-        amps[:] = amps[_mcx_perm(num_qubits, op.controls, op.target)]
+        _permute(amps, _mcx_perm(num_qubits, op.controls, op.target))
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
 
@@ -223,6 +238,27 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     return StateVector(state.num_qubits, amps)
 
 
+def run_circuit_rows(circuit: Circuit, amps: np.ndarray) -> None:
+    """Apply every gate of `circuit`, in order, to each row of `amps` in place.
+
+    `amps` is a C-contiguous complex128 block of shape (rows, 2^num_qubits),
+    one state per row. Every row gets exactly the arithmetic it would get
+    on its own, so a row's amplitudes do not depend on the rows beside it.
+    """
+    n = circuit.num_qubits
+    if amps.ndim != 2 or amps.shape[1] != 1 << n:
+        raise ValueError(
+            f"circuit is on {n} qubits but the block has shape {amps.shape}"
+        )
+    if amps.dtype != np.complex128 or not amps.flags.c_contiguous:
+        raise ValueError("amps must be a C-contiguous complex128 block")
+    # A lone row runs on its 1-D view, where small gathers and sign
+    # multiplies cost about half what they cost on a (1, dim) block.
+    rows = amps[0] if amps.shape[0] == 1 else amps
+    for op in circuit.ops:
+        _apply_inplace(rows, n, op)
+
+
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply every gate of `circuit` to `state`, in order."""
     if circuit.num_qubits != state.num_qubits:
@@ -231,10 +267,8 @@ def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
             f"but the state has {state.num_qubits}"
         )
     amps = state.amplitudes.copy()
-    n = circuit.num_qubits
-    for op in circuit.ops:
-        _apply_inplace(amps, n, op)
-    return StateVector(n, amps)
+    run_circuit_rows(circuit, amps.reshape(1, -1))
+    return StateVector(circuit.num_qubits, amps)
 
 
 def prob_qubit_one(state: StateVector, qubit: int) -> float:
@@ -250,13 +284,20 @@ def sample_qubit(
 ) -> float:
     """Estimate prob_qubit_one as the hit rate of one Binomial(shots, p) draw.
 
-    One fresh PCG64 generator is created per call from `seed`, an int or a
-    sequence of ints as `np.random.default_rng` accepts, so results are
-    bit-reproducible: same state, qubit, shots and seed give the same
-    estimate on any platform.
+    See binomial_estimate for the draw; same state, qubit, shots and seed
+    give the same estimate on any platform.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
+    return binomial_estimate(prob_qubit_one(state, qubit), shots, seed)
+
+
+def binomial_estimate(p: float, shots: int, seed: int | Sequence[int]) -> float:
+    """The hit rate of one Binomial(shots, p) draw, for shots >= 1.
+
+    One fresh PCG64 generator is created per call from `seed`, an int or a
+    sequence of ints as `np.random.default_rng` accepts, so results are
+    bit-reproducible.
+    """
     # Summed squares can overshoot 1 by an ulp, which binomial rejects.
-    p = min(prob_qubit_one(state, qubit), 1.0)
-    return int(np.random.default_rng(seed).binomial(shots, p)) / shots
+    return int(np.random.default_rng(seed).binomial(shots, min(p, 1.0))) / shots

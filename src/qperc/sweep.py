@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import atomic_write_text
-from .perceptron import PerceptronConfig, closed_form_probability, measure
+from .perceptron import PerceptronConfig, closed_form_probability, measure, measure_many
 
 MAX_SWEEP_QUBITS = 3
 
@@ -49,9 +49,9 @@ def compute_sweep(config: PerceptronConfig) -> SweepMatrix:
     probs = np.empty((size, size), dtype=np.float64)
     deviation = 0.0
     exact = config.mode == "exact"
-    for i in range(size):
-        for w in range(size):
-            p = measure(i, w, config)
+    for w in range(size):
+        column = measure_many(range(size), w, config).tolist()
+        for i, p in enumerate(column):
             if exact:
                 gap = abs(p - closed_form_probability(i, w, config.n))
                 if gap > deviation:
@@ -61,13 +61,17 @@ def compute_sweep(config: PerceptronConfig) -> SweepMatrix:
 
 
 def sample_sweep_cells(
-    config: PerceptronConfig, count: int, seed: int
+    config: PerceptronConfig, count: int
 ) -> list[tuple[int, int, float]]:
-    """Random (input, weight, probability) cells for sizes too big to sweep."""
+    """Random (input, weight, probability) cells for sizes too big to sweep.
+
+    Pairs are drawn from config.seed. Each cell is one `measure` call: random
+    pairs rarely share a weight, so there is no column to batch.
+    """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     size = 1 << (1 << config.n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     cells = []
     for _ in range(count):
         i = int(rng.integers(0, size))

@@ -57,6 +57,8 @@ class TrainConfig:
             )
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.convergence_mode not in CONVERGENCE_MODES:
             raise ValueError(
                 f"convergence_mode must be one of {CONVERGENCE_MODES}, "

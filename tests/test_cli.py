@@ -83,6 +83,18 @@ def test_seed_env_var_must_be_integer(capsys, monkeypatch):
     assert "QPERC_SEED" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2_naming_seed(capsys, monkeypatch):
+    args = (
+        "simulate", "--n", "2", "--input", "0", "--weight", "1",
+        "--mode", "sampled",
+    )
+    assert run_cli(*args, "--seed", "-1") == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    monkeypatch.setenv("QPERC_SEED", "-1")
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
 def test_sweep_writes_matrix(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--n", "2", "--out", str(out)) == 0
@@ -170,6 +182,25 @@ def test_train_sampled_zero_shots_sidecar_exits_2_naming_shots(tmp_path, capsys)
     assert run_cli("train", "--data", str(data)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "shots" in err
+
+
+def test_train_negative_seed_exits_2_naming_seed(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli(
+        "gen-data", "--n", "2", "--weight", "12", "--mode", "sampled",
+        "--shots", "64", "--out", str(data),
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data), "--seed", "-1") == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    meta_path = tmp_path / "data.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["seed"] = -1
+    meta_path.write_text(json.dumps(meta))
+    assert run_cli("train", "--data", str(data), "--seed", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta_path}: ")
+    assert "seed must be non-negative, got -1" in err
 
 
 def test_train_sampled_measures_with_dataset_seed(tmp_path):

@@ -242,6 +242,10 @@ def test_load_rejects_sidecar_its_config_rejects(tmp_path):
     path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
     with pytest.raises(DatasetFormatError, match="n must be between 1 and 4"):
         load_dataset(path)
+    meta.update(n=2, seed=-1)
+    path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
+    with pytest.raises(DatasetFormatError, match="seed must be non-negative, got -1"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize(

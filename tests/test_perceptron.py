@@ -8,6 +8,8 @@ from scipy.stats import binomtest
 
 from qperc import perceptron, statevector
 from qperc.perceptron import (
+    BLOCK_ROWS,
+    MODES,
     PerceptronConfig,
     assemble_perceptron_circuit,
     build_input_prep,
@@ -17,8 +19,15 @@ from qperc.perceptron import (
     closed_form_probability,
     encode_value,
     measure,
+    measure_many,
 )
-from qperc.statevector import mcx, new_zero_state, run_circuit
+from qperc.statevector import (
+    mcx,
+    new_zero_state,
+    prob_qubit_one,
+    run_circuit,
+    sample_qubit,
+)
 
 
 def test_encode_value_reference_case():
@@ -297,3 +306,66 @@ def test_config_validation():
         PerceptronConfig(n=2, mode="fast")
     with pytest.raises(ValueError):
         PerceptronConfig(n=2, mode="sampled", shots=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        PerceptronConfig(n=2, seed=-1)
+
+
+def _reference_state(i, w, n):
+    """The final state of the gate-by-gate circuit for one pair."""
+    return run_circuit(assemble_perceptron_circuit(i, w, n), new_zero_state(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_measure_many_equals_gate_reference_for_every_input(n):
+    size = 1 << (1 << n)
+    config = PerceptronConfig(n=n)
+    for w in (0, 1, size // 3, size - 1):
+        expected = [prob_qubit_one(_reference_state(i, w, n), n) for i in range(size)]
+        assert measure_many(range(size), w, config).tolist() == expected
+
+
+def test_measure_many_n4_rows_across_a_block_boundary():
+    config = PerceptronConfig(n=4)
+    for w in (626, 64909):
+        probs = measure_many(range(1 << 16), w, config)
+        assert probs.shape == (1 << 16,)
+        for i in (0, BLOCK_ROWS - 1, BLOCK_ROWS, (1 << 16) - 1):
+            assert probs[i] == prob_qubit_one(_reference_state(i, w, 4), 4)
+
+
+def test_measure_many_sampled_rows_equal_sample_qubit_of_reference():
+    config = PerceptronConfig(n=3, mode="sampled", shots=100, seed=7)
+    probs = measure_many(range(256), 77, config)
+    for i in range(256):
+        state = _reference_state(i, 77, 3)
+        assert probs[i] == sample_qubit(state, 3, 100, [7, i, 77])
+
+
+def test_measure_many_checks_every_input():
+    assert measure_many([], 3, PerceptronConfig(n=2)).shape == (0,)
+    with pytest.raises(ValueError, match="input value must be in"):
+        measure_many([0, 5, 16], 3, PerceptronConfig(n=2))
+
+
+@st.composite
+def _batches(draw):
+    n = draw(st.integers(1, 4))
+    top = (1 << (1 << n)) - 1
+    inputs = draw(st.lists(st.integers(0, top), max_size=12))
+    return n, inputs, draw(st.integers(0, top))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_batches(), st.sampled_from(MODES))
+def test_measure_many_rows_equal_the_gate_reference(batch, mode):
+    # any inputs, repeats and order included: a row never sees its neighbours
+    n, inputs, w = batch
+    config = PerceptronConfig(n=n, mode=mode, shots=64, seed=3)
+    probs = measure_many(inputs, w, config).tolist()
+    assert len(probs) == len(inputs)
+    for i, p in zip(inputs, probs):
+        state = _reference_state(i, w, n)
+        if mode == "exact":
+            assert p == prob_qubit_one(state, n)
+        else:
+            assert p == sample_qubit(state, n, 64, [3, i, w])

@@ -127,9 +127,9 @@ def test_sampled_mode_sweep_stays_in_range():
 
 
 def test_sample_sweep_cells_deterministic():
-    config = PerceptronConfig(n=4)
-    first = sample_sweep_cells(config, 20, seed=9)
-    second = sample_sweep_cells(config, 20, seed=9)
+    config = PerceptronConfig(n=4, seed=9)
+    first = sample_sweep_cells(config, 20)
+    second = sample_sweep_cells(config, 20)
     assert first == second
     assert len(first) == 20
     for i, w, p in first:
@@ -140,7 +140,7 @@ def test_sample_sweep_cells_deterministic():
 
 def test_sampled_cells_json_payload(tmp_path):
     config = PerceptronConfig(n=3, mode="sampled", shots=64, seed=4)
-    cells = sample_sweep_cells(config, 5, config.seed)
+    cells = sample_sweep_cells(config, 5)
     path = tmp_path / "cells.json"
     save_sampled_cells(cells, config, path, "json")
     payload = json.loads(path.read_text())
@@ -152,7 +152,7 @@ def test_sampled_cells_json_payload(tmp_path):
 
 def test_sample_sweep_cells_rejects_bad_count():
     with pytest.raises(ValueError):
-        sample_sweep_cells(PerceptronConfig(n=4), 0, seed=0)
+        sample_sweep_cells(PerceptronConfig(n=4), 0)
 
 
 def test_load_sweep_csv_rejects_garbage(tmp_path):

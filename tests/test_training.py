@@ -335,6 +335,8 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(convergence_mode="loose")
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        TrainConfig(seed=-1)
 
 
 def test_train_rejects_out_of_range_target(dataset12):
