@@ -22,26 +22,25 @@ most m MCZ and 2*m*n X gates per sign vector. `assemble_perceptron_circuit`
 builds the whole gate list for one pair; it is the reference the tests
 compare against.
 
-`measure_many` is the one evaluator; `measure` is its one-row call. It
-evaluates a list of inputs against one weight in two halves:
-
-  input half   After the Hadamard layer every data amplitude is the same,
-               so an input's X-MCZ-X sandwiches only multiply amplitude j
-               by the input's sign j. Each row is the cached Hadamard-layer
-               state (computed once per n by the gate kernels) times the
-               input's sign row: one multiply per amplitude instead of
-               about 44 gates at n=4.
-  weight half  One `Circuit` of the weight's sign flips, the Hadamard and X
-               layers and the readout MCX (about 49 gates at n=4, 30 for
-               weight 626) runs over blocks of up to BLOCK_ROWS rows, so each
-               gate is one numpy call per block rather than one per row.
+`measure_many` is the one evaluator; `measure` is its one-row call. After
+the Hadamard layer every data amplitude has the same magnitude, so each
+sign oracle only multiplies amplitude j by a sign, and a +-1 multiply is
+exact there. Each row is therefore the cached Hadamard-layer state
+(computed once per n by the gate kernels) times the input's sign row times
+the weight's sign row. What is left of the circuit is the fixed readout:
+the Hadamard and X layers and the MCX, 2n+1 gates in one `Circuit`, run
+over blocks of up to BLOCK_ROWS rows, so each gate is one numpy call per
+block rather than one per row.
 
 P is then the summed squared ancilla-1 amplitudes of each row. Each row's
-P equals, bit for bit, the P of its full gate-by-gate circuit, so
-exact-mode outputs do not depend on how inputs are batched. The per-call
-cost is one gate list built and validated, plus one `check_value` per input
-and one for the weight; the per-row cost is about 2m * (gates + 1)
-amplitude operations and, in sampled mode, one seeded binomial draw.
+P equals, bit for bit, the P of its full gate-by-gate circuit (74 gates
+per input on average against weight 626 at n=4), so exact-mode outputs do
+not depend on how inputs are batched. The per-call cost is one 2n+1-gate
+list built and validated, plus one `check_value` per input and one for
+the weight (a one-row n=4 `measure` takes about 75 us on a 2-core Xeon);
+the per-row cost is two sign rows, about 2m * (2n + 2) amplitude
+operations and, in sampled mode, one seeded binomial draw.
+
 `check_value` is the single range rule for encoded values; the dataset,
 training, rendering and CLI layers all call it.
 """
@@ -168,12 +167,14 @@ def _input_prep(value: int, n: int) -> list[GateOp]:
     return [h(q) for q in range(n)] + _sign_flips(_signs(value, m), n)
 
 
+def _unprep_layers(n: int) -> list[GateOp]:
+    """The Hadamard layer then the X layer, which end weight unpreparation."""
+    return [h(q) for q in range(n)] + [x(q) for q in range(n)]
+
+
 def _weight_unprep(weight: int, n: int) -> list[GateOp]:
     m = check_value(weight, n, "weight")
-    ops = _sign_flips(_signs(weight, m), n)
-    ops.extend(h(q) for q in range(n))
-    ops.extend(x(q) for q in range(n))
-    return ops
+    return _sign_flips(_signs(weight, m), n) + _unprep_layers(n)
 
 
 def build_sign_oracle(sign_vector: SignVector) -> Circuit:
@@ -252,14 +253,16 @@ def measure_many(
     values = list(inputs)
     for value in values:
         check_value(value, n, "input value")
-    circuit = Circuit(n + 1, _weight_unprep(weight, n) + [mcx(range(n), n)])
+    check_value(weight, n, "weight")
+    circuit = Circuit(n + 1, _unprep_layers(n) + [mcx(range(n), n)])
     m = 1 << n
     # The ancilla is the lowest index bit: column 1 holds its |1> amplitudes.
     prepared = _hadamard_layer(n).reshape(m, 2)
+    weight_signs = _sign_rows([weight], m)
     probs = np.empty(len(values))
     for start in range(0, len(values), BLOCK_ROWS):
         chunk = values[start : start + BLOCK_ROWS]
-        block = prepared * _sign_rows(chunk, m)[:, :, None]
+        block = prepared * (_sign_rows(chunk, m) * weight_signs)[:, :, None]
         block = block.reshape(len(chunk), 2 * m)
         run_circuit_rows(circuit, block)
         ones = block.reshape(len(chunk), m, 2)[:, :, 1]

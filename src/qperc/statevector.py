@@ -9,6 +9,11 @@ the last axis, so `run_circuit_rows` runs one circuit over a block of
 states, one state per row, with the same arithmetic per row as
 `run_circuit` applies to a single state.
 
+The kernels work in place on reshaped views of the amplitudes and cache
+no arrays: a gate's peak memory is the state plus at most one temporary
+of the same size (X copies the whole state once, H, MCZ and MCX half of
+it or less).
+
 Registers are capped at 24 qubits; a dense complex128 vector at that size
 is 256 MB, which is as far as this simulator is meant to go.
 """
@@ -24,8 +29,6 @@ import numpy as np
 MAX_QUBITS = 24
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-_GATE_KINDS = ("H", "X", "MCZ", "MCX")
 
 
 @dataclass(frozen=True)
@@ -157,75 +160,42 @@ def _check_op(op: GateOp, num_qubits: int) -> None:
         )
 
 
-def _qubit_bit(num_qubits: int, qubit: int) -> int:
-    # MSB-first: qubit 0 is the highest bit of the basis index.
-    return 1 << (num_qubits - 1 - qubit)
-
-
-@lru_cache(maxsize=None)
-def _basis_indices(dim: int) -> np.ndarray:
-    idx = np.arange(dim, dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=None)
-def _x_perm(num_qubits: int, qubit: int) -> np.ndarray:
-    perm = _basis_indices(1 << num_qubits) ^ _qubit_bit(num_qubits, qubit)
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=None)
-def _mcz_signs(num_qubits: int, qubits: frozenset[int]) -> np.ndarray:
-    mask = 0
-    for q in qubits:
-        mask |= _qubit_bit(num_qubits, q)
-    idx = _basis_indices(1 << num_qubits)
-    signs = np.where((idx & mask) == mask, -1.0, 1.0)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
-def _mcx_perm(num_qubits: int, controls: frozenset[int], target: int) -> np.ndarray:
-    cmask = 0
-    for q in controls:
-        cmask |= _qubit_bit(num_qubits, q)
-    tbit = _qubit_bit(num_qubits, target)
-    idx = _basis_indices(1 << num_qubits)
-    perm = np.where((idx & cmask) == cmask, idx ^ tbit, idx)
-    perm.setflags(write=False)
-    return perm
-
-
-def _permute(amps: np.ndarray, perm: np.ndarray) -> None:
-    """Reorder the last axis of `amps` in place: amps[..., k] = amps[..., perm[k]]."""
-    # On one state, plain indexing is fastest (0.6 us at 5 qubits against
-    # 1.4 us for take(), which also copies a read-only index array first:
-    # 8 MB per gate at 20 qubits). On a block, take() is 2.5x faster.
-    if amps.ndim == 1:
-        amps[:] = amps[perm]
-    else:
-        amps[...] = amps.take(perm, axis=-1)
-
-
 def _apply_inplace(amps: np.ndarray, num_qubits: int, op: GateOp) -> None:
-    """Apply one gate along the last axis of a C-contiguous state or block."""
+    """Apply one gate along the last axis of a C-contiguous state or block.
+
+    Each kernel works on a reshaped view of `amps`: H and X on a view whose
+    axis -2 is the target's bit, MCZ and MCX on a view with one size-2 axis
+    per qubit (qubit 0 first), where fixing the controls' axes at 1 selects
+    the states the gate acts on.
+    """
     kind = op.kind
+    lead = amps.shape[:-1]
     if kind == "X":
-        _permute(amps, _x_perm(num_qubits, op.target))
-    elif kind == "MCZ":
-        amps *= _mcz_signs(num_qubits, op.controls)
+        view = amps.reshape(lead + (1 << op.target, 2, -1))
+        view[...] = view[..., ::-1, :]
     elif kind == "H":
-        view = amps.reshape(amps.shape[:-1] + (1 << op.target, 2, -1))
+        view = amps.reshape(lead + (1 << op.target, 2, -1))
         zero, one = view[..., 0, :], view[..., 1, :]
         diff = zero - one
         zero += one
         one[...] = diff
         amps *= _INV_SQRT2
-    elif kind == "MCX":
-        _permute(amps, _mcx_perm(num_qubits, op.controls, op.target))
+    elif kind in ("MCZ", "MCX"):
+        cube = amps.reshape(lead + (2,) * num_qubits)
+        index = [slice(None)] * num_qubits
+        for q in op.controls:
+            index[q] = 1
+        hit = cube[(..., *index)]
+        if kind == "MCZ":
+            # A +-1 sign-array multiply, as MCZ is defined: a complex
+            # multiply by 1.0 clears some signed zeros, so the states the
+            # gate leaves alone are multiplied too.
+            flipped = hit * -1.0
+            amps *= 1.0
+            hit[...] = flipped
+        else:
+            index[op.target] = slice(None, None, -1)
+            hit[...] = cube[(..., *index)]
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
 
@@ -252,11 +222,8 @@ def run_circuit_rows(circuit: Circuit, amps: np.ndarray) -> None:
         )
     if amps.dtype != np.complex128 or not amps.flags.c_contiguous:
         raise ValueError("amps must be a C-contiguous complex128 block")
-    # A lone row runs on its 1-D view, where small gathers and sign
-    # multiplies cost about half what they cost on a (1, dim) block.
-    rows = amps[0] if amps.shape[0] == 1 else amps
     for op in circuit.ops:
-        _apply_inplace(rows, n, op)
+        _apply_inplace(amps, n, op)
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:

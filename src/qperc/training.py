@@ -237,6 +237,14 @@ def load_trace(path: str | Path) -> list[TrainStep]:
                 f"{path}: line {lineno}: expected an object with exactly the "
                 f"fields {sorted(_STEP_FIELDS)}"
             )
-        record["flipped_positions"] = tuple(record["flipped_positions"])
+        positions = record["flipped_positions"]
+        if not isinstance(positions, list) or any(
+            type(p) is not int for p in positions
+        ):
+            raise ValueError(
+                f"{path}: line {lineno}: field 'flipped_positions' must be a "
+                f"list of integers, got {positions!r}"
+            )
+        record["flipped_positions"] = tuple(positions)
         steps.append(TrainStep(**record))
     return steps

@@ -1,0 +1,113 @@
+"""Corrupted files make every loader raise ValueError, and nothing else.
+
+Each property starts from a file the matching writer produced and damages
+it, either byte by byte or by putting an arbitrary JSON value in one field
+of a JSON record. DatasetFormatError is a ValueError, so the loaders may
+raise either; a TypeError, KeyError or IndexError fails the property.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qperc.dataset import generate_dataset, load_dataset, save_dataset
+from qperc.perceptron import PerceptronConfig
+from qperc.sweep import compute_sweep, load_sweep_csv, save_sweep
+from qperc.training import TrainConfig, load_trace, save_trace, train
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+# Bytes that mean something to CSV or JSON, plus anything at all.
+_CHUNKS = st.lists(
+    st.sampled_from(b',\n-.0123456789e"[]{}: '), min_size=1, max_size=3
+).map(bytes) | st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def _byte_damage(draw, data: bytes) -> bytes:
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(out)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        if edit == "truncate":
+            del out[pos:]
+        elif edit == "delete":
+            del out[pos : pos + draw(st.integers(1, 8))]
+        else:
+            chunk = draw(_CHUNKS)
+            end = pos + len(chunk) if edit == "replace" else pos
+            out[pos:end] = chunk
+    return bytes(out)
+
+
+@st.composite
+def _damaged_record(draw, record: dict) -> dict:
+    """The JSON object with arbitrary JSON values in some of its fields."""
+    record = dict(record)
+    for key in draw(st.sets(st.sampled_from(sorted(record)), min_size=1)):
+        record[key] = draw(_JSON)
+    return record
+
+
+def _load_or_value_error(load, path):
+    try:
+        load(path)
+    except ValueError:
+        pass
+
+
+_DATASET = generate_dataset(9, PerceptronConfig(n=2, mode="sampled", shots=64, seed=4))
+_TRACE = train(_DATASET, 9, TrainConfig(seed=1, max_epochs=3)).trace
+_SWEEP = compute_sweep(PerceptronConfig(n=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_dataset_on_corrupted_files_raises_only_value_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_dataset(_DATASET, path)
+        sidecar = Path(str(path) + ".meta.json")
+        target = data.draw(st.sampled_from([path, sidecar]))
+        if target == sidecar and data.draw(st.booleans()):
+            meta = data.draw(_damaged_record(json.loads(sidecar.read_text())))
+            damaged = json.dumps(meta).encode()
+        else:
+            damaged = data.draw(_byte_damage(target.read_bytes()))
+        target.write_bytes(damaged)
+        _load_or_value_error(load_dataset, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_sweep_csv_on_corrupted_files_raises_only_value_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        save_sweep(_SWEEP, path)
+        path.write_bytes(data.draw(_byte_damage(path.read_bytes())))
+        _load_or_value_error(load_sweep_csv, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_trace_on_corrupted_files_raises_only_value_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        save_trace(_TRACE, path)
+        if data.draw(st.booleans()):
+            lines = path.read_text().splitlines()
+            row = data.draw(st.integers(0, len(lines) - 1))
+            lines[row] = json.dumps(data.draw(_damaged_record(json.loads(lines[row]))))
+            damaged = ("\n".join(lines) + "\n").encode()
+        else:
+            damaged = data.draw(_byte_damage(path.read_bytes()))
+        path.write_bytes(damaged)
+        _load_or_value_error(load_trace, path)

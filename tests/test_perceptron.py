@@ -162,6 +162,27 @@ def test_measure_builds_one_circuit(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_measure_many_runs_only_the_readout_gates(monkeypatch, n):
+    built = []
+    post_init = statevector.Circuit.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(statevector.Circuit, "__post_init__", counting)
+    size = 1 << (1 << n)
+    measure_many(range(size), size // 3, PerceptronConfig(n=n))
+    [circuit] = built
+    assert circuit.num_qubits == n + 1
+    assert circuit.ops == (
+        [statevector.h(q) for q in range(n)]
+        + [statevector.x(q) for q in range(n)]
+        + [mcx(range(n), n)]
+    )
+
+
 def test_measure_checks_each_value_once(monkeypatch):
     calls = []
 

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperc.statevector import (
     Circuit,
@@ -257,3 +261,94 @@ def test_sample_qubit_statistical_accuracy():
         for seed in range(100)
     )
     assert within >= 99
+
+
+def test_kernels_need_at_most_one_state_sized_temporary():
+    # 64 distinct MCZ and 64 distinct MCX gates: a kernel that kept an
+    # index or sign array per gate would grow far past the bound.
+    n = 16
+    rng = np.random.default_rng(0)
+    mczs, mcxs = set(), set()
+
+    def qubits(low):
+        return [int(q) for q in rng.choice(n, int(rng.integers(low, 6)), replace=False)]
+
+    while len(mczs) < 64:
+        mczs.add(mcz(qubits(1)))
+    while len(mcxs) < 64:
+        target, *controls = qubits(2)
+        mcxs.add(mcx(controls, target))
+    ops = [h(q) for q in range(n)] + [x(q) for q in range(n)]
+    circuit = Circuit(n, ops + sorted(mczs, key=repr) + sorted(mcxs, key=repr))
+    state = new_zero_state(n)
+    tracemalloc.start()
+    try:
+        run_circuit(circuit, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The returned copy of the state plus one same-size temporary.
+    assert peak <= 3 * state.amplitudes.nbytes
+
+
+def _reference_apply(block, n, op):
+    """One gate by its defining arithmetic: XOR-mask index gathers for X and
+    MCX, a +-1 sign-array multiply for MCZ, paired sums for H."""
+    index = np.arange(1 << n)
+
+    def mask(qubits):
+        return sum(1 << (n - 1 - q) for q in qubits)
+
+    if op.kind == "X":
+        return block[:, index ^ mask([op.target])]
+    if op.kind == "MCX":
+        hit = (index & mask(op.controls)) == mask(op.controls)
+        return block[:, np.where(hit, index ^ mask([op.target]), index)]
+    if op.kind == "MCZ":
+        hit = (index & mask(op.controls)) == mask(op.controls)
+        return block * np.where(hit, -1.0, 1.0)
+    out = block.copy()
+    view = out.reshape(len(out), 1 << op.target, 2, -1)
+    zero, one = view[:, :, 0, :], view[:, :, 1, :]
+    diff = zero - one
+    zero += one
+    one[...] = diff
+    out *= INV_SQRT2
+    return out
+
+
+@st.composite
+def _gate_lists(draw, n):
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        qubits = draw(st.permutations(range(n)))
+        kinds = ["H", "X", "MCZ", "MCX"] if n > 1 else ["H", "X", "MCZ"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "H":
+            ops.append(h(qubits[0]))
+        elif kind == "X":
+            ops.append(x(qubits[0]))
+        elif kind == "MCZ":
+            ops.append(mcz(qubits[: draw(st.integers(1, n))]))
+        else:
+            count = draw(st.integers(1, n - 1))
+            ops.append(mcx(qubits[:count], qubits[count]))
+    return ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_reference_bytes_property(data):
+    n = data.draw(st.integers(1, 10), label="qubits")
+    rows = data.draw(st.integers(1, 4), label="rows")
+    ops = data.draw(_gate_lists(n), label="ops")
+    # Entries from a small set, so exact and signed zeros are common.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    parts = rng.choice([0.0, -0.0, 0.5, -0.5, 0.3], size=(2, rows, 1 << n))
+    block = np.empty((rows, 1 << n), dtype=np.complex128)
+    block.real, block.imag = parts
+    expected = block.copy()
+    for op in ops:
+        expected = _reference_apply(expected, n, op)
+    run_circuit_rows(Circuit(n, ops), block)
+    assert block.tobytes() == expected.tobytes()

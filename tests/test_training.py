@@ -301,6 +301,20 @@ def test_load_trace_rejects_wrong_fields_naming_line(tmp_path, dataset12, edit):
         load_trace(path)
 
 
+def test_load_trace_rejects_non_list_flipped_positions(tmp_path, dataset12):
+    import json
+
+    path = tmp_path / "trace.jsonl"
+    save_trace(train(dataset12, 12, make_config(5)).trace, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["flipped_positions"] = 5
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 3: field 'flipped_positions'"):
+        load_trace(path)
+
+
 _steps = st.builds(
     TrainStep,
     epoch=st.integers(1, 1000),
