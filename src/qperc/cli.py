@@ -24,7 +24,7 @@ from .sweep import (
     save_sampled_cells,
     save_sweep,
 )
-from .training import CONVERGENCE_MODES, TrainConfig, save_trace, train
+from .training import CONVERGENCE_MODES, TrainConfig, trace_writer, train
 
 ENV_SEED = "QPERC_SEED"
 
@@ -45,16 +45,33 @@ def _resolve_seed(flag_value: int | None) -> int:
         raise _UsageError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_DATA_QUBITS:
-        raise _UsageError(f"--n must be between 1 and {MAX_DATA_QUBITS}, got {n}")
+# The flag behind each config field a message can name. The seed is left
+# out: it may come from QPERC_SEED, and its message already names it.
+_FIELD_FLAGS = {
+    "n": "--n",
+    "shots": "--shots",
+    "learning_rate": "--lr",
+    "max_epochs": "--max-epochs",
+}
+
+
+def _config(cls, **values):
+    """Build a config; a rejected field's message is prefixed with its flag.
+
+    Every config message starts with the name of the field it rejects.
+    """
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise _UsageError(f"{flag}: {exc}") from None
 
 
 def _perceptron_config(args: argparse.Namespace) -> PerceptronConfig:
-    _check_n(args.n)
-    if args.shots < 1:
-        raise _UsageError(f"--shots must be at least 1, got {args.shots}")
-    return PerceptronConfig(
+    return _config(
+        PerceptronConfig,
         n=args.n,
         shots=args.shots,
         mode=args.mode,
@@ -118,29 +135,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     if optimal is None:
         optimal = dataset.optimal_weight
     check_value(optimal, dataset.config.n, "--optimal-weight")
-    if not 0.0 < args.lr <= 1.0:
-        raise _UsageError(f"--lr must be in (0, 1], got {args.lr}")
-    if args.max_epochs < 1:
-        raise _UsageError(f"--max-epochs must be at least 1, got {args.max_epochs}")
-    config = TrainConfig(
+    config = _config(
+        TrainConfig,
         learning_rate=args.lr,
         max_epochs=args.max_epochs,
         seed=seed,
         convergence_mode=args.convergence,
     )
-    result = train(dataset, optimal, config)
     if args.trace_out:
-        save_trace(result.trace, args.trace_out)
-    updates = sum(1 for step in result.trace if step.action != "none")
+        with trace_writer(args.trace_out) as write_step:
+            result = train(dataset, optimal, config, write_step)
+    else:
+        result = train(dataset, optimal, config, lambda step: None)
     print(f"converged: {result.converged}")
     print(f"final weight: {result.final_weight}")
     print(f"epochs run: {result.epochs_run}")
-    print(f"updates applied: {updates}")
+    print(f"updates applied: {result.updates}")
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    _check_n(args.n)
+    if not 1 <= args.n <= MAX_DATA_QUBITS:
+        raise _UsageError(f"--n must be between 1 and {MAX_DATA_QUBITS}, got {args.n}")
     check_value(args.value, args.n, "--value")
     grid = pattern_grid(args.value, args.n, args.rows, args.cols)
     if args.format == "ascii":

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file whose contents appear at `path` only if the block succeeds.
+
+    The temp file is deleted when the block raises, so a failed write never
+    leaves a partial file at `path`.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent if str(path.parent) else ".",
@@ -16,7 +24,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -24,6 +32,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    with atomic_writer(path) as f:
+        f.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

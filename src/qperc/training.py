@@ -20,25 +20,45 @@ significant bit. One PCG64 generator seeded with config.seed supplies the
 initial weight and every flip choice. Every example is measured with the
 dataset's own settings (dataset.config), so sampled-mode noise comes from
 the dataset's seed and never disturbs the training stream.
+
+The weight changes on few examples (10 to 60 times in a 65,536-example
+n=4 epoch), so the examples are evaluated in look-ahead chunks: one
+measure_many call scores the next LOOKAHEAD_ROWS examples against the
+current weight, the steps are walked in order, and after the first step
+that changes the weight the next chunk starts at the following example.
+Each chunk used up without a change doubles the next one. This gives the
+same steps as measuring one example at a time: a row's P does not depend
+on which batch it is in, sampled draws are seeded per (seed, input,
+weight), and the rng makes the same calls in the same order.
+
+Each step goes to a sink as soon as it is made. train() collects them in
+TrainResult.trace by default; trace_writer() is a sink that streams them
+to a JSON-lines file, in the format save_trace writes, so a long run holds
+no trace in memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, get_type_hints
 
 import numpy as np
 
 from .dataset import Dataset
-from .ioutil import atomic_write_text
-from .perceptron import check_value, measure
+from .ioutil import atomic_writer
+from .perceptron import check_value, measure_many
 
 ACTIONS = ("none", "flip_non_matching", "flip_matching")
 
 CONVERGENCE_MODES = ("strict", "functional")
+
+# Rows in the first look-ahead chunk after a weight change; each chunk used
+# up without a change doubles the next.
+LOOKAHEAD_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -86,10 +106,13 @@ _STEP_FIELDS = {f.name for f in fields(TrainStep)}
 
 @dataclass
 class TrainResult:
+    """How training ended; trace holds the steps only when no sink was given."""
+
     converged: bool
     final_weight: int
     epochs_run: int
     trace: list[TrainStep] = field(default_factory=list)
+    updates: int = 0
 
 
 def init_weight(n: int, seed: int) -> int:
@@ -105,7 +128,7 @@ def count_non_matching_bits(weight: int, value: int, m: int) -> int:
         raise ValueError(f"weight must be in [0, {limit - 1}], got {weight}")
     if not 0 <= value < limit:
         raise ValueError(f"value must be in [0, {limit - 1}], got {value}")
-    return bin(weight ^ value).count("1")
+    return (weight ^ value).bit_count()
 
 
 def flip_bits(
@@ -133,23 +156,24 @@ def flip_bits(
     return new_weight, flipped
 
 
-def _bit_positions(mask: int) -> list[int]:
-    positions = []
-    pos = 0
-    while mask:
-        if mask & 1:
-            positions.append(pos)
-        mask >>= 1
-        pos += 1
-    return positions
+def _bit_positions(mask: int, m: int) -> list[int]:
+    """The set bit positions of an m-bit mask, ascending."""
+    return [p for p in range(m) if mask >> p & 1]
 
 
-def train(dataset: Dataset, optimal_weight: int, config: TrainConfig) -> TrainResult:
+def train(
+    dataset: Dataset,
+    optimal_weight: int,
+    config: TrainConfig,
+    on_step: Callable[[TrainStep], object] | None = None,
+) -> TrainResult:
     """Run epochs of bit-flip updates until convergence or max_epochs.
 
-    The trace records every example evaluation. epochs_run counts epochs
-    started; a weight that is already converged at initialization returns
-    immediately with epochs_run = 0 and an empty trace.
+    Every example evaluation is passed to on_step as a TrainStep, in order.
+    Without on_step the steps are collected in TrainResult.trace; with it
+    the trace stays empty. epochs_run counts epochs started; a weight that
+    is already converged at initialization returns immediately with
+    epochs_run = 0 and no steps.
     """
     measurement = dataset.config
     m = check_value(optimal_weight, measurement.n, "optimal weight")
@@ -166,60 +190,117 @@ def train(dataset: Dataset, optimal_weight: int, config: TrainConfig) -> TrainRe
     rng = np.random.default_rng(config.seed)
     weight = int(rng.integers(0, 1 << m))
     trace: list[TrainStep] = []
+    if on_step is None:
+        on_step = trace.append
     if converged(weight):
         return TrainResult(True, weight, 0, trace)
 
+    examples = dataset.examples
+    values = [ex.value for ex in examples]
+    updates = 0
+    rows = LOOKAHEAD_ROWS
     for epoch in range(1, config.max_epochs + 1):
-        for ex in dataset.examples:
-            p1 = measure(ex.value, weight, measurement)
-            predicted = 1 if p1 >= 0.5 else 0
-            before = weight
-            action = "none"
-            flipped: tuple[int, ...] = ()
-            if predicted != ex.label:
-                if predicted == 0:
-                    candidate_mask = weight ^ ex.value
-                    attempted = "flip_non_matching"
-                else:
-                    candidate_mask = ~(weight ^ ex.value) & full_mask
-                    attempted = "flip_matching"
-                candidates = _bit_positions(candidate_mask)
-                if candidates:
-                    action = attempted
-                    weight, flipped = flip_bits(
-                        weight, candidates, config.learning_rate, rng
+        start = 0
+        while start < len(values):
+            # Look ahead: the rest of the epoch against the current weight,
+            # walked until the first step that changes it.
+            chunk = values[start : start + rows]
+            probs = measure_many(chunk, weight, measurement).tolist()
+            for index, p1 in enumerate(probs, start):
+                ex = examples[index]
+                predicted = 1 if p1 >= 0.5 else 0
+                before = weight
+                action = "none"
+                flipped: tuple[int, ...] = ()
+                if predicted != ex.label:
+                    if predicted == 0:
+                        candidate_mask = weight ^ ex.value
+                        attempted = "flip_non_matching"
+                    else:
+                        candidate_mask = ~(weight ^ ex.value) & full_mask
+                        attempted = "flip_matching"
+                    candidates = _bit_positions(candidate_mask, m)
+                    if candidates:
+                        action = attempted
+                        weight, flipped = flip_bits(
+                            weight, candidates, config.learning_rate, rng
+                        )
+                on_step(
+                    TrainStep(
+                        epoch=epoch,
+                        example_value=ex.value,
+                        p1=p1,
+                        predicted=predicted,
+                        actual=ex.label,
+                        action=action,
+                        flipped_positions=flipped,
+                        weight_before=before,
+                        weight_after=weight,
                     )
-            trace.append(
-                TrainStep(
-                    epoch=epoch,
-                    example_value=ex.value,
-                    p1=p1,
-                    predicted=predicted,
-                    actual=ex.label,
-                    action=action,
-                    flipped_positions=flipped,
-                    weight_before=before,
-                    weight_after=weight,
                 )
-            )
-            if weight != before and converged(weight):
-                return TrainResult(True, weight, epoch, trace)
-    return TrainResult(False, weight, config.max_epochs, trace)
+                if weight != before:
+                    updates += 1
+                    if converged(weight):
+                        return TrainResult(True, weight, epoch, trace, updates)
+                    rows = LOOKAHEAD_ROWS
+                    break
+            else:
+                rows *= 2
+            start = index + 1
+    return TrainResult(False, weight, config.max_epochs, trace, updates)
 
 
-def save_trace(steps: Sequence[TrainStep], path: str | Path) -> None:
-    """Write one JSON object per step, one step per line."""
+# save_trace and trace_writer share this one line format.
+_STEP_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _step_line(step: TrainStep) -> bytes:
     # A shallow dict per step: asdict() deep-copies and wrote a 65,536-step
     # trace 3x slower, and vars() leaves a dict attached to every step.
-    lines = [
-        json.dumps(
-            {name: getattr(step, name) for name in _STEP_FIELDS},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for step in steps
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    record = {name: getattr(step, name) for name in _STEP_FIELDS}
+    return (_STEP_ENCODER.encode(record) + "\n").encode("utf-8")
+
+
+@contextmanager
+def trace_writer(path: str | Path) -> Iterator[Callable[[TrainStep], None]]:
+    """A step sink writing one JSON line per step; `path` appears on success.
+
+    Pass it as train's on_step to stream a trace instead of holding it. The
+    lines are save_trace's; a block that raises leaves no file at `path`.
+    """
+    with atomic_writer(path) as f:
+
+        def write(step: TrainStep) -> None:
+            f.write(_step_line(step))
+
+        yield write
+
+
+def save_trace(steps: Iterable[TrainStep], path: str | Path) -> None:
+    """Write one JSON object per step, one step per line."""
+    with trace_writer(path) as write:
+        for step in steps:
+            write(step)
+
+
+# The JSON types a record may use for each TrainStep annotation; bool is
+# excluded from the numbers on purpose.
+_STEP_TYPES = get_type_hints(TrainStep)
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
+def _field_error(name: str, value: object) -> str | None:
+    """Why `value` cannot be the TrainStep field `name`, or None if it can."""
+    hint = _STEP_TYPES[name]
+    if name == "action":
+        ok, want = value in ACTIONS, f"one of {list(ACTIONS)}"
+    elif hint in _JSON_TYPES:
+        types, want = _JSON_TYPES[hint]
+        ok = type(value) in types
+    else:  # tuple[int, ...], stored as a JSON list
+        ok = type(value) is list and all(type(p) is int for p in value)
+        want = "a list of integers"
+    return None if ok else f"field {name!r} must be {want}, got {value!r}"
 
 
 def load_trace(path: str | Path) -> list[TrainStep]:
@@ -237,14 +318,10 @@ def load_trace(path: str | Path) -> list[TrainStep]:
                 f"{path}: line {lineno}: expected an object with exactly the "
                 f"fields {sorted(_STEP_FIELDS)}"
             )
-        positions = record["flipped_positions"]
-        if not isinstance(positions, list) or any(
-            type(p) is not int for p in positions
-        ):
-            raise ValueError(
-                f"{path}: line {lineno}: field 'flipped_positions' must be a "
-                f"list of integers, got {positions!r}"
-            )
-        record["flipped_positions"] = tuple(positions)
+        for name, value in record.items():
+            error = _field_error(name, value)
+            if error:
+                raise ValueError(f"{path}: line {lineno}: {error}")
+        record["flipped_positions"] = tuple(record["flipped_positions"])
         steps.append(TrainStep(**record))
     return steps

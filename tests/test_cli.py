@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qperc.training as training
 from qperc.cli import main
 from qperc.dataset import load_dataset
 from qperc.perceptron import measure
 from qperc.sweep import load_sweep_csv
-from qperc.training import load_trace
+from qperc.training import TrainConfig, init_weight, load_trace, save_trace, train
 
 
 def run_cli(*argv):
@@ -281,6 +283,81 @@ def test_train_rejects_zero_learning_rate(tmp_path, capsys):
 def test_train_rejects_missing_dataset(tmp_path, capsys):
     assert run_cli("train", "--data", str(tmp_path / "nope.csv")) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_train_trace_out_streams_save_trace_bytes(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli(
+        "gen-data", "--n", "3", "--weight", "77", "--mode", "sampled",
+        "--shots", "64", "--seed", "5", "--out", str(data),
+    ) == 0
+    streamed = tmp_path / "streamed.jsonl"
+    assert run_cli(
+        "train", "--data", str(data), "--seed", "11", "--max-epochs", "5",
+        "--convergence", "strict", "--trace-out", str(streamed),
+    ) == 0
+    printed = capsys.readouterr().out
+    result = train(
+        load_dataset(data), 77,
+        TrainConfig(seed=11, max_epochs=5, convergence_mode="strict"),
+    )
+    saved = tmp_path / "saved.jsonl"
+    save_trace(result.trace, saved)
+    assert streamed.read_bytes() == saved.read_bytes()
+    assert f"updates applied: {result.updates}\n" in printed
+    assert result.updates == sum(s.action != "none" for s in result.trace) > 0
+
+
+def test_train_trace_out_memory_does_not_grow_with_epochs(tmp_path, capsys):
+    # Training starts at the complement of the dataset's weight, so every
+    # prediction is right, nothing is updated and the strict target is
+    # never reached: each run evaluates max_epochs * 256 examples.
+    seed = 1
+    weight = init_weight(3, seed) ^ 0xFF
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--n", "3", "--weight", str(weight), "--out", str(data)) == 0
+
+    def peak(epochs):
+        tracemalloc.start()
+        try:
+            assert run_cli(
+                "train", "--data", str(data), "--seed", str(seed),
+                "--convergence", "strict", "--max-epochs", str(epochs),
+                "--trace-out", str(tmp_path / f"trace-{epochs}.jsonl"),
+            ) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(4), peak(40)
+    assert "updates applied: 0" in capsys.readouterr().out
+    lines = (tmp_path / "trace-40.jsonl").read_text().count("\n")
+    assert lines == 40 * 256
+    # Holding the 10,240 steps read about 5x the 4-epoch peak.
+    assert long <= 1.5 * short
+
+
+def test_train_failure_partway_leaves_no_trace_file(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(data)) == 0
+    before = set(tmp_path.iterdir())
+    real_flip_bits = training.flip_bits
+    calls = []
+
+    def flip_then_fail(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("disk on fire")
+        return real_flip_bits(*args)
+
+    monkeypatch.setattr(training, "flip_bits", flip_then_fail)
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli(
+        "train", "--data", str(data), "--seed", "5", "--trace-out", str(trace)
+    ) == 1
+    assert "disk on fire" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_render_ascii_to_stdout(capsys):

@@ -3,20 +3,22 @@
 Each property starts from a file the matching writer produced and damages
 it, either byte by byte or by putting an arbitrary JSON value in one field
 of a JSON record. DatasetFormatError is a ValueError, so the loaders may
-raise either; a TypeError, KeyError or IndexError fails the property.
+raise either; a TypeError, KeyError or IndexError fails the property. A
+trace field given a value of the wrong type must raise, naming the field.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperc.dataset import generate_dataset, load_dataset, save_dataset
 from qperc.perceptron import PerceptronConfig
 from qperc.sweep import compute_sweep, load_sweep_csv, save_sweep
-from qperc.training import TrainConfig, load_trace, save_trace, train
+from qperc.training import ACTIONS, TrainConfig, load_trace, save_trace, train
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -111,3 +113,33 @@ def test_load_trace_on_corrupted_files_raises_only_value_error(data):
             damaged = data.draw(_byte_damage(path.read_bytes()))
         path.write_bytes(damaged)
         _load_or_value_error(load_trace, path)
+
+
+def _fits_step_field(name, value):
+    """Whether a JSON value is of the type the TrainStep field needs."""
+    if name == "action":
+        return value in ACTIONS
+    if name == "p1":
+        return type(value) in (int, float)
+    if name == "flipped_positions":
+        return type(value) is list and all(type(p) is int for p in value)
+    return type(value) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_trace_rejects_wrongly_typed_fields_naming_them(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        save_trace(_TRACE, path)
+        lines = path.read_text().splitlines()
+        row = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[row])
+        name = data.draw(st.sampled_from(sorted(record)))
+        record[name] = data.draw(
+            _JSON.filter(lambda value: not _fits_step_field(name, value))
+        )
+        lines[row] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {row + 1}: field '{name}'"):
+            load_trace(path)

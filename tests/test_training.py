@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperc.dataset import generate_dataset
-from qperc.perceptron import PerceptronConfig
+import qperc.training as training
+from qperc.dataset import Dataset, generate_dataset
+from qperc.perceptron import BLOCK_ROWS, PerceptronConfig, measure
 from qperc.training import (
     ACTIONS,
     TrainConfig,
+    TrainResult,
     TrainStep,
     count_non_matching_bits,
     flip_bits,
     init_weight,
     load_trace,
     save_trace,
+    trace_writer,
     train,
 )
 
@@ -279,15 +282,35 @@ def test_trace_file_is_json_lines(tmp_path, dataset12):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, field",
     [
-        lambda r: r.pop("p1"),
-        lambda r: r.update(extra=1),
-        lambda r: r.clear(),
+        pytest.param(lambda r: r.pop("p1"), None, id="missing"),
+        pytest.param(lambda r: r.update(extra=1), None, id="extra"),
+        pytest.param(lambda r: r.clear(), None, id="empty"),
+        pytest.param(lambda r: r.update(epoch=[1]), "epoch", id="epoch"),
+        pytest.param(
+            lambda r: r.update(example_value=3.0), "example_value", id="example_value"
+        ),
+        pytest.param(lambda r: r.update(p1="high"), "p1", id="p1"),
+        pytest.param(lambda r: r.update(p1=True), "p1", id="p1_bool"),
+        pytest.param(lambda r: r.update(predicted=None), "predicted", id="predicted"),
+        pytest.param(lambda r: r.update(actual="x"), "actual", id="actual"),
+        pytest.param(lambda r: r.update(action=None), "action", id="action"),
+        pytest.param(lambda r: r.update(action="jump"), "action", id="action_unknown"),
+        pytest.param(
+            lambda r: r.update(flipped_positions=[True]),
+            "flipped_positions",
+            id="flipped_positions",
+        ),
+        pytest.param(
+            lambda r: r.update(weight_before=False), "weight_before", id="weight_before"
+        ),
+        pytest.param(
+            lambda r: r.update(weight_after={}), "weight_after", id="weight_after"
+        ),
     ],
-    ids=["missing", "extra", "empty"],
 )
-def test_load_trace_rejects_wrong_fields_naming_line(tmp_path, dataset12, edit):
+def test_load_trace_rejects_wrong_fields_naming_line(tmp_path, dataset12, edit, field):
     import json
 
     path = tmp_path / "trace.jsonl"
@@ -297,8 +320,10 @@ def test_load_trace_rejects_wrong_fields_naming_line(tmp_path, dataset12, edit):
     edit(record)
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2") as exc:
         load_trace(path)
+    if field is not None:
+        assert f"line 2: field {field!r}" in str(exc.value)
 
 
 def test_load_trace_rejects_non_list_flipped_positions(tmp_path, dataset12):
@@ -356,3 +381,119 @@ def test_train_config_validation():
 def test_train_rejects_out_of_range_target(dataset12):
     with pytest.raises(ValueError):
         train(dataset12, 16, make_config(0))
+
+
+def reference_train(dataset, optimal_weight, config):
+    """The per-example loop: one measure() per example, flip_bits on a miss."""
+    m = 1 << dataset.config.n
+    full_mask = (1 << m) - 1
+    targets = {optimal_weight}
+    if config.convergence_mode == "functional":
+        targets.add(optimal_weight ^ full_mask)
+    rng = np.random.default_rng(config.seed)
+    weight = int(rng.integers(0, 1 << m))
+    trace = []
+    if weight in targets:
+        return TrainResult(True, weight, 0, trace)
+    updates = 0
+    for epoch in range(1, config.max_epochs + 1):
+        for ex in dataset.examples:
+            p1 = measure(ex.value, weight, dataset.config)
+            predicted = 1 if p1 >= 0.5 else 0
+            before, action, flipped = weight, "none", ()
+            if predicted != ex.label:
+                if predicted == 0:
+                    mask, attempted = weight ^ ex.value, "flip_non_matching"
+                else:
+                    mask, attempted = ~(weight ^ ex.value) & full_mask, "flip_matching"
+                candidates = [p for p in range(m) if mask >> p & 1]
+                if candidates:
+                    action = attempted
+                    weight, flipped = flip_bits(
+                        weight, candidates, config.learning_rate, rng
+                    )
+            trace.append(
+                TrainStep(
+                    epoch, ex.value, p1, predicted, ex.label, action, flipped,
+                    before, weight,
+                )
+            )
+            if weight != before:
+                updates += 1
+                if weight in targets:
+                    return TrainResult(True, weight, epoch, trace, updates)
+    return TrainResult(False, weight, config.max_epochs, trace, updates)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_train_equals_per_example_reference_n2(dataset12, seed):
+    config = make_config(seed)
+    assert train(dataset12, 12, config) == reference_train(dataset12, 12, config)
+
+
+@pytest.mark.parametrize(
+    "measurement",
+    [PerceptronConfig(n=3), PerceptronConfig(n=3, mode="sampled", shots=64, seed=5)],
+    ids=["exact", "sampled"],
+)
+@pytest.mark.parametrize("convergence", ["functional", "strict"])
+def test_train_equals_per_example_reference_n3(measurement, convergence):
+    dataset = generate_dataset(77, measurement)
+    for seed in (1, 2, 3):
+        config = make_config(seed, max_epochs=5, convergence=convergence)
+        result = train(dataset, 77, config)
+        assert result == reference_train(dataset, 77, config)
+        assert result.updates == sum(s.action != "none" for s in result.trace)
+
+
+def test_train_equals_reference_across_look_ahead_blocks(monkeypatch):
+    # The first 8,192 n=4 examples, two strict epochs against a target the
+    # run never reaches: the second epoch is one look-ahead chunk of 8,192
+    # rows, which measure_many splits into BLOCK_ROWS blocks.
+    full = generate_dataset(626, PerceptronConfig(n=4))
+    dataset = Dataset(full.config, 626, full.examples[:8192])
+    config = make_config(3, max_epochs=2, convergence="strict")
+    chunks = []
+    measure_many = training.measure_many
+
+    def spy(inputs, weight, measurement):
+        chunks.append(len(inputs))
+        return measure_many(inputs, weight, measurement)
+
+    monkeypatch.setattr(training, "measure_many", spy)
+    result = train(dataset, 12345, config)
+    assert chunks[0] == training.LOOKAHEAD_ROWS
+    assert max(chunks) > BLOCK_ROWS
+    assert result == reference_train(dataset, 12345, config)
+
+
+def test_train_on_step_receives_the_trace(dataset12):
+    config = make_config(5)
+    steps = []
+    streamed = train(dataset12, 12, config, steps.append)
+    held = train(dataset12, 12, config)
+    assert streamed.trace == []
+    assert steps == held.trace
+    assert (streamed.converged, streamed.final_weight, streamed.epochs_run) == (
+        held.converged, held.final_weight, held.epochs_run,
+    )
+    assert streamed.updates == held.updates > 0
+
+
+def test_trace_writer_writes_save_trace_bytes(tmp_path, dataset12):
+    config = make_config(5)
+    saved, streamed = tmp_path / "saved.jsonl", tmp_path / "streamed.jsonl"
+    save_trace(train(dataset12, 12, config).trace, saved)
+    with trace_writer(streamed) as write:
+        train(dataset12, 12, config, write)
+    assert streamed.read_bytes() == saved.read_bytes()
+
+
+def test_trace_writer_leaves_no_file_when_the_block_raises(tmp_path, dataset12):
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(RuntimeError):
+        with trace_writer(path) as write:
+            for step in train(dataset12, 12, make_config(5)).trace:
+                write(step)
+            raise RuntimeError("stop")
+    assert list(tmp_path.iterdir()) == []
