@@ -1,16 +1,18 @@
 """Evaluate one input pattern against one weight pattern.
 
-Walks through the full pipeline for a single pair: decode the integers
-into sign vectors, build the circuit, and compare the state-vector
-probability against the closed-form value and a sampled estimate.
+Walks through the full pipeline for a single pair: draw the two patterns
+(set bits are sign -1, shown filled), build the circuit, and compare the
+state-vector probability against the closed-form value and a sampled
+estimate.
 """
 
 from qperc import (
     PerceptronConfig,
     assemble_perceptron_circuit,
     closed_form_probability,
-    encode_value,
     measure,
+    pattern_grid,
+    render_ascii,
 )
 
 N = 2
@@ -18,8 +20,9 @@ INPUT_VALUE = 12
 WEIGHT = 8
 
 print(f"n = {N} data qubits, patterns have {2**N} cells")
-print(f"input  {INPUT_VALUE:2d} -> signs {encode_value(INPUT_VALUE, N).signs}")
-print(f"weight {WEIGHT:2d} -> signs {encode_value(WEIGHT, N).signs}")
+for label, value in (("input", INPUT_VALUE), ("weight", WEIGHT)):
+    print(f"\n{label} {value} (filled cells carry sign -1):")
+    print(render_ascii(pattern_grid(value, N)))
 
 circuit = assemble_perceptron_circuit(INPUT_VALUE, WEIGHT, N)
 kinds = [op.kind for op in circuit.ops]

@@ -20,14 +20,9 @@ from .perceptron import (
     DEFAULT_SHOTS,
     MAX_DATA_QUBITS,
     PerceptronConfig,
-    SignVector,
     assemble_perceptron_circuit,
-    build_input_prep,
-    build_sign_oracle,
-    build_weight_unprep,
     check_value,
     closed_form_probability,
-    encode_value,
     measure,
     measure_many,
 )
@@ -84,7 +79,6 @@ __all__ = [
     "MAX_SWEEP_QUBITS",
     "PatternGrid",
     "PerceptronConfig",
-    "SignVector",
     "StateVector",
     "SweepMatrix",
     "TrainConfig",
@@ -92,14 +86,10 @@ __all__ = [
     "TrainStep",
     "apply_gate",
     "assemble_perceptron_circuit",
-    "build_input_prep",
-    "build_sign_oracle",
-    "build_weight_unprep",
     "check_value",
     "closed_form_probability",
     "compute_sweep",
     "count_non_matching_bits",
-    "encode_value",
     "flip_bits",
     "generate_dataset",
     "h",

@@ -14,7 +14,14 @@ import sys
 
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .ioutil import atomic_write_bytes, atomic_write_text
-from .perceptron import MAX_DATA_QUBITS, MODES, PerceptronConfig, check_value, measure
+from .perceptron import (
+    DEFAULT_SHOTS,
+    MAX_DATA_QUBITS,
+    MODES,
+    PerceptronConfig,
+    check_value,
+    measure,
+)
 from .render import RENDER_FORMATS, pattern_grid, render_ascii, render_pgm
 from .sweep import (
     MAX_SWEEP_QUBITS,
@@ -177,7 +184,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def _add_measure_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=MODES, default="exact")
-    sub.add_argument("--shots", type=int, default=8192)
+    sub.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     sub.add_argument(
         "--seed",
         type=int,

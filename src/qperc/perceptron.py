@@ -7,25 +7,25 @@ over sqrt(m); weight unpreparation inverts that map for the weight value
 and then flips every data qubit, so the overlap of input and weight ends
 up as the amplitude of |1...1>. A final MCX copies that indicator onto an
 ancilla (qubit n), and the probability of reading the ancilla as 1 equals
-the squared normalized dot product of the two sign vectors:
+the squared normalized dot product of the two sign vectors. Two signs
+differ exactly where the bits differ, so
 
-    P(1) = ((sum_j i_j * w_j) / m)^2
+    P(1) = ((sum_j i_j * w_j) / m)^2 = ((m - 2 * popcount(i ^ w)) / m)^2
 
-`closed_form_probability` evaluates that expression directly with integer
-arithmetic and is the reference every circuit result can be checked
-against.
+There are two evaluators: the circuit, which is the reproduction, and
+`closed_form_probability`, the popcount identity in integer arithmetic,
+which is the oracle every circuit result is checked against.
 
-The sign flips are realized gate by gate: for each position j carrying -1
-an MCZ over all n data qubits is conjugated by X on the qubits whose bit
-in j is 0, which flips the phase of exactly |j>. The construction costs at
-most m MCZ and 2*m*n X gates per sign vector. `assemble_perceptron_circuit`
-builds the whole gate list for one pair; it is the reference the tests
-compare against.
+`assemble_perceptron_circuit` builds the whole gate list for one pair. The
+sign flips are realized gate by gate: for each position j carrying -1 an
+MCZ over all n data qubits is conjugated by X on the qubits whose bit in j
+is 0, which flips the phase of exactly |j>. That costs at most m MCZ and
+2*m*n X gates per sign vector.
 
-`measure_many` is the one evaluator; `measure` is its one-row call. After
-the Hadamard layer every data amplitude has the same magnitude, so each
-sign oracle only multiplies amplitude j by a sign, and a +-1 multiply is
-exact there. Each row is therefore the cached Hadamard-layer state
+`measure_many` is the one circuit evaluator; `measure` is its one-row call.
+After the Hadamard layer every data amplitude has the same magnitude, so
+each sign oracle only multiplies amplitude j by a sign, and a +-1 multiply
+is exact there. Each row is therefore the cached Hadamard-layer state
 (computed once per n by the gate kernels) times the input's sign row times
 the weight's sign row. What is left of the circuit is the fixed readout:
 the Hadamard and X layers and the MCX, 2n+1 gates in one `Circuit`, run
@@ -107,19 +107,6 @@ class PerceptronConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """An m-entry vector of +1/-1 signs decoded from an integer value."""
-
-    n: int
-    signs: tuple[int, ...]
-    source_value: int
-
-    @property
-    def m(self) -> int:
-        return 1 << self.n
-
-
 def check_value(value: int, n: int, what: str) -> int:
     """Return m = 2^n, or raise ValueError naming `what` if value >= 2^m or < 0."""
     m = 1 << n
@@ -130,41 +117,15 @@ def check_value(value: int, n: int, what: str) -> int:
     return m
 
 
-def encode_value(value: int, n: int) -> SignVector:
-    """Decode `value` into its sign vector, MSB first.
-
-    Bit j of the m-bit expansion (position 0 = most significant) maps to
-    signs[j]: a set bit becomes -1, a clear bit +1. encode_value(12, 2)
-    gives (-1, -1, 1, 1).
-    """
-    m = check_value(value, n, "value")
-    return SignVector(n=n, signs=_signs(value, m), source_value=value)
-
-
-def _signs(value: int, m: int) -> tuple[int, ...]:
-    """The m signs of an already range-checked value, MSB first."""
-    return tuple(-1 if (value >> (m - 1 - j)) & 1 else 1 for j in range(m))
-
-
-def _sign_flips(signs: tuple[int, ...], n: int) -> list[GateOp]:
-    """One X-MCZ-X sandwich per -1 entry; each flips the phase of |j>."""
-    all_qubits = range(n)
+def _sign_flips(value: int, n: int) -> list[GateOp]:
+    """One X-MCZ-X sandwich per set bit j of value, MSB first; each flips |j>."""
+    m = 1 << n
     ops = []
-    for j, sign in enumerate(signs):
-        if sign == 1:
-            continue
-        zero_qubits = [q for q in all_qubits if not (j >> (n - 1 - q)) & 1]
-        for q in zero_qubits:
-            ops.append(x(q))
-        ops.append(mcz(all_qubits))
-        for q in zero_qubits:
-            ops.append(x(q))
+    for j in range(m):
+        if (value >> (m - 1 - j)) & 1:
+            flips = [x(q) for q in range(n) if not (j >> (n - 1 - q)) & 1]
+            ops += flips + [mcz(range(n))] + flips
     return ops
-
-
-def _input_prep(value: int, n: int) -> list[GateOp]:
-    m = check_value(value, n, "input value")
-    return [h(q) for q in range(n)] + _sign_flips(_signs(value, m), n)
 
 
 def _unprep_layers(n: int) -> list[GateOp]:
@@ -172,46 +133,34 @@ def _unprep_layers(n: int) -> list[GateOp]:
     return [h(q) for q in range(n)] + [x(q) for q in range(n)]
 
 
-def _weight_unprep(weight: int, n: int) -> list[GateOp]:
-    m = check_value(weight, n, "weight")
-    return _sign_flips(_signs(weight, m), n) + _unprep_layers(n)
-
-
-def build_sign_oracle(sign_vector: SignVector) -> Circuit:
-    """Diagonal circuit flipping the phase of |j> wherever signs[j] is -1."""
-    return Circuit(sign_vector.n, _sign_flips(sign_vector.signs, sign_vector.n))
-
-
-def build_input_prep(value: int, n: int) -> Circuit:
-    """Map |0...0> to the sign-encoded superposition for `value`."""
-    return Circuit(n, _input_prep(value, n))
-
-
-def build_weight_unprep(weight: int, n: int) -> Circuit:
-    """Map the sign-encoded state for `weight` to |1...1>.
-
-    Runs the weight's own sign oracle (self-inverse), undoes the Hadamard
-    layer, then flips every qubit so a perfect match lands on |1...1>.
-    """
-    return Circuit(n, _weight_unprep(weight, n))
-
-
 def assemble_perceptron_circuit(input_value: int, weight: int, n: int) -> Circuit:
-    """Full evaluation circuit on n data qubits plus the ancilla (qubit n)."""
-    ops = _input_prep(input_value, n) + _weight_unprep(weight, n)
-    ops.append(mcx(range(n), n))
+    """Full evaluation circuit on n data qubits plus the ancilla (qubit n).
+
+    Input prep (H layer, input flips), weight unprep (weight flips, which
+    are self-inverse, then H and X layers), then the MCX readout.
+    """
+    check_value(input_value, n, "input value")
+    check_value(weight, n, "weight")
+    ops = (
+        [h(q) for q in range(n)]
+        + _sign_flips(input_value, n)
+        + _sign_flips(weight, n)
+        + _unprep_layers(n)
+        + [mcx(range(n), n)]
+    )
     return Circuit(n + 1, ops)
 
 
 def closed_form_probability(input_value: int, weight: int, n: int) -> float:
     """Reference ancilla probability, no circuit involved.
 
-    Computes ((sum_j i_j * w_j) / m)^2 with integer arithmetic and a single
-    final division, so it is exact up to one float rounding.
+    The sign dot product is m - 2 * popcount(input ^ weight), so P is
+    computed with integer arithmetic and a single final division; it is
+    exact up to one float rounding.
     """
     m = check_value(input_value, n, "input value")
     check_value(weight, n, "weight")
-    dot = sum(a * b for a, b in zip(_signs(input_value, m), _signs(weight, m)))
+    dot = m - 2 * (input_value ^ weight).bit_count()
     return (dot * dot) / (m * m)
 
 
@@ -234,7 +183,7 @@ def _hadamard_layer(n: int) -> np.ndarray:
 
 
 def _sign_rows(values: list[int], m: int) -> np.ndarray:
-    """One row of m float signs per value, MSB first, as _signs gives them."""
+    """One row of m float signs per value, MSB first: a set bit is -1.0."""
     bits = np.array(values, dtype=np.int64)[:, None] >> np.arange(m - 1, -1, -1)
     return 1.0 - 2.0 * (bits & 1)
 

@@ -50,13 +50,11 @@ def compute_sweep(config: PerceptronConfig) -> SweepMatrix:
     deviation = 0.0
     exact = config.mode == "exact"
     for w in range(size):
-        column = measure_many(range(size), w, config).tolist()
-        for i, p in enumerate(column):
-            if exact:
-                gap = abs(p - closed_form_probability(i, w, config.n))
-                if gap > deviation:
-                    deviation = gap
-            probs[i, w] = float(format(p, ".12g"))
+        column = measure_many(range(size), w, config)
+        if exact:
+            oracle = [closed_form_probability(i, w, config.n) for i in range(size)]
+            deviation = max(deviation, float(np.max(np.abs(column - oracle))))
+        probs[:, w] = [float(format(p, ".12g")) for p in column.tolist()]
     return SweepMatrix(config, probs, deviation if exact else None)
 
 

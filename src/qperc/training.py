@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator, get_type_hints
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, label_from_probability
 from .ioutil import atomic_writer
 from .perceptron import check_value, measure_many
 
@@ -208,7 +208,7 @@ def train(
             probs = measure_many(chunk, weight, measurement).tolist()
             for index, p1 in enumerate(probs, start):
                 ex = examples[index]
-                predicted = 1 if p1 >= 0.5 else 0
+                predicted = label_from_probability(p1)
                 before = weight
                 action = "none"
                 flipped: tuple[int, ...] = ()

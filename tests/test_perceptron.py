@@ -12,62 +12,72 @@ from qperc.perceptron import (
     MODES,
     PerceptronConfig,
     assemble_perceptron_circuit,
-    build_input_prep,
-    build_sign_oracle,
-    build_weight_unprep,
     check_value,
     closed_form_probability,
-    encode_value,
     measure,
     measure_many,
 )
 from qperc.statevector import (
+    Circuit,
+    h,
     mcx,
     new_zero_state,
     prob_qubit_one,
     run_circuit,
     sample_qubit,
+    x,
 )
 
 
+def _signs(value, n):
+    """The paper's sign vector of value, MSB first: a set bit is -1."""
+    m = 1 << n
+    return [-1 if (value >> (m - 1 - j)) & 1 else 1 for j in range(m)]
+
+
+def _h_layer(n):
+    return [h(q) for q in range(n)]
+
+
+def _prepared_state(value, n):
+    """The data register after the H layer and value's sign flips."""
+    ops = _h_layer(n) + perceptron._sign_flips(value, n)
+    return run_circuit(Circuit(n, ops), new_zero_state(n))
+
+
+def _assert_encodes(value, signs):
+    """value's sign vector, and the signs of its prepared amplitudes, are signs."""
+    assert tuple(_signs(value, 2)) == signs
+    amplitudes = _prepared_state(value, 2).amplitudes
+    np.testing.assert_array_equal(np.sign(amplitudes.real), signs)
+
+
 def test_encode_value_reference_case():
-    assert encode_value(12, 2).signs == (-1, -1, 1, 1)
+    _assert_encodes(12, (-1, -1, 1, 1))
 
 
 def test_encode_value_extremes():
-    assert encode_value(0, 2).signs == (1, 1, 1, 1)
-    assert encode_value(15, 2).signs == (-1, -1, -1, -1)
+    _assert_encodes(0, (1, 1, 1, 1))
+    _assert_encodes(15, (-1, -1, -1, -1))
 
 
 def test_encode_value_msb_first():
+    # position 0 is the most significant bit and the basis state |0...0>;
     # 1 sets only the last (least significant) position
-    assert encode_value(1, 2).signs == (1, 1, 1, -1)
-    assert encode_value(8, 2).signs == (-1, 1, 1, 1)
-
-
-def test_encode_value_range_checks():
-    with pytest.raises(ValueError):
-        encode_value(16, 2)
-    with pytest.raises(ValueError):
-        encode_value(-1, 2)
-
-
-def test_encode_value_length():
-    assert len(encode_value(0, 3).signs) == 8
-    assert len(encode_value(65535, 4).signs) == 16
+    _assert_encodes(1, (1, 1, 1, -1))
+    _assert_encodes(8, (-1, 1, 1, 1))
 
 
 def test_sign_oracle_empty_for_all_plus():
-    assert build_sign_oracle(encode_value(0, 2)).ops == []
+    assert perceptron._sign_flips(0, 2) == []
 
 
 def test_sign_oracle_gate_budget():
     # at most m MCZ and 2*m*n X gates per oracle
     n, m = 2, 4
     for value in range(16):
-        ops = build_sign_oracle(encode_value(value, n)).ops
-        kinds = [op.kind for op in ops]
-        assert kinds.count("MCZ") <= m
+        kinds = [op.kind for op in perceptron._sign_flips(value, n)]
+        assert kinds.count("MCZ") == _signs(value, n).count(-1) <= m
         assert kinds.count("X") <= 2 * m * n
         assert set(kinds) <= {"MCZ", "X"}
 
@@ -75,48 +85,51 @@ def test_sign_oracle_gate_budget():
 def test_sign_oracle_gate_budget_n4():
     n, m = 4, 16
     for value in (0, 626, 64909, 65535):
-        ops = build_sign_oracle(encode_value(value, n)).ops
-        kinds = [op.kind for op in ops]
-        assert kinds.count("MCZ") <= m
+        kinds = [op.kind for op in perceptron._sign_flips(value, n)]
+        assert kinds.count("MCZ") == _signs(value, n).count(-1) <= m
         assert kinds.count("X") <= 2 * m * n
         assert set(kinds) <= {"MCZ", "X"}
 
 
 @pytest.mark.parametrize("value", range(16))
 def test_input_prep_amplitudes_are_scaled_signs(value):
-    state = run_circuit(build_input_prep(value, 2), new_zero_state(2))
-    expected = np.array(encode_value(value, 2).signs) / 2.0
+    expected = np.array(_signs(value, 2)) / 2.0
+    state = _prepared_state(value, 2)
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
 
 def test_input_prep_amplitudes_n3():
     rng = np.random.default_rng(2)
     for value in rng.integers(0, 256, size=10):
-        state = run_circuit(build_input_prep(int(value), 3), new_zero_state(3))
-        expected = np.array(encode_value(int(value), 3).signs) / np.sqrt(8)
+        expected = np.array(_signs(int(value), 3)) / np.sqrt(8)
+        state = _prepared_state(int(value), 3)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+
+def _prep_then_unprep(i, w, n):
+    """The data register after i's preparation and w's unpreparation."""
+    ops = (
+        _h_layer(n)
+        + perceptron._sign_flips(i, n)
+        + perceptron._sign_flips(w, n)
+        + _h_layer(n)
+        + [x(q) for q in range(n)]
+    )
+    return run_circuit(Circuit(n, ops), new_zero_state(n))
 
 
 @pytest.mark.parametrize("weight", range(16))
 def test_weight_unprep_inverts_its_own_prep(weight):
     # preparing a weight then unpreparing it must land on |11...1>
-    ops = build_input_prep(weight, 2).ops + build_weight_unprep(weight, 2).ops
-    from qperc.statevector import Circuit
-
-    state = run_circuit(Circuit(2, ops), new_zero_state(2))
+    state = _prep_then_unprep(weight, weight, 2)
     assert abs(abs(state.amplitudes[3]) - 1.0) < 1e-12
 
 
 def test_all_ones_amplitude_is_normalized_dot_product():
-    from qperc.statevector import Circuit
-
     for i in range(16):
         for w in range(16):
-            ops = build_input_prep(i, 2).ops + build_weight_unprep(w, 2).ops
-            state = run_circuit(Circuit(2, ops), new_zero_state(2))
-            signs_i = encode_value(i, 2).signs
-            signs_w = encode_value(w, 2).signs
-            dot = sum(a * b for a, b in zip(signs_i, signs_w))
+            state = _prep_then_unprep(i, w, 2)
+            dot = sum(a * b for a, b in zip(_signs(i, 2), _signs(w, 2)))
             assert abs(abs(state.amplitudes[3]) - abs(dot) / 4) < 1e-12
 
 
@@ -134,11 +147,21 @@ def test_assembled_circuit_is_prep_then_unprep_then_readout():
         size = 1 << (1 << n)
         for i, w in ((0, 0), (1, size - 1), (size // 3, size // 2)):
             expected = (
-                build_input_prep(i, n).ops
-                + build_weight_unprep(w, n).ops
+                _h_layer(n)
+                + perceptron._sign_flips(i, n)
+                + perceptron._sign_flips(w, n)
+                + _h_layer(n)
+                + [x(q) for q in range(n)]
                 + [mcx(range(n), n)]
             )
             assert assemble_perceptron_circuit(i, w, n).ops == expected
+
+
+def test_assembled_circuit_checks_both_values():
+    cases = ((16, 0, "input value"), (-1, 0, "input value"), (0, 16, "weight"))
+    for i, w, what in cases:
+        with pytest.raises(ValueError, match=rf"{what} must be in \[0, 15\] for n=2"):
+            assemble_perceptron_circuit(i, w, 2)
 
 
 def test_gate_kind_totals_n4_weight_626():
@@ -259,6 +282,25 @@ def test_closed_form_matches_hamming_identity():
         d = bin(i ^ w).count("1")
         expected = ((16 - 2 * d) / 16) ** 2
         assert abs(closed_form_probability(i, w, 4) - expected) < 1e-15
+
+
+def _sign_dot_probability(i, w, n):
+    """The paper's P = ((sum_j i_j * w_j) / m)^2 from the two sign vectors."""
+    m = 1 << n
+    dot = sum(a * b for a, b in zip(_signs(i, n), _signs(w, n)))
+    return (dot * dot) / (m * m)
+
+
+def test_closed_form_equals_the_sign_dot_product():
+    for n in (1, 2, 3):
+        size = 1 << (1 << n)
+        for i in range(size):
+            for w in range(size):
+                expected = _sign_dot_probability(i, w, n)
+                assert closed_form_probability(i, w, n) == expected
+    rng = np.random.default_rng(4)
+    for i, w in rng.integers(0, 1 << 16, size=(20_000, 2)).tolist():
+        assert closed_form_probability(i, w, 4) == _sign_dot_probability(i, w, 4)
 
 
 def test_measure_exact_matches_closed_form_exhaustively():
