@@ -48,8 +48,6 @@ from .sweep import (
     SweepMatrix,
     compute_sweep,
     load_sweep_csv,
-    sample_sweep_cells,
-    save_sampled_cells,
     save_sweep,
 )
 from .training import (
@@ -110,9 +108,7 @@ __all__ = [
     "run_circuit",
     "run_circuit_rows",
     "sample_qubit",
-    "sample_sweep_cells",
     "save_dataset",
-    "save_sampled_cells",
     "save_sweep",
     "save_trace",
     "trace_writer",

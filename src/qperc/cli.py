@@ -23,14 +23,7 @@ from .perceptron import (
     measure,
 )
 from .render import RENDER_FORMATS, pattern_grid, render_ascii, render_pgm
-from .sweep import (
-    MAX_SWEEP_QUBITS,
-    SWEEP_FORMATS,
-    compute_sweep,
-    sample_sweep_cells,
-    save_sampled_cells,
-    save_sweep,
-)
+from .sweep import SWEEP_FORMATS, compute_sweep, save_sweep
 from .training import CONVERGENCE_MODES, TrainConfig, trace_writer, train
 
 ENV_SEED = "QPERC_SEED"
@@ -96,24 +89,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _perceptron_config(args)
-    if args.force_sample is not None:
-        if args.force_sample < 1:
-            raise _UsageError(
-                f"--force-sample must be at least 1, got {args.force_sample}"
-            )
-        cells = sample_sweep_cells(config, args.force_sample)
-        save_sampled_cells(cells, config, args.out, args.format)
-        print(f"wrote {len(cells)} sampled cells to {args.out}")
-        return 0
-    if args.n > MAX_SWEEP_QUBITS:
-        size = 1 << (1 << args.n)
-        raise _UsageError(
-            f"--n {args.n} means a {size}x{size} exhaustive sweep, which is "
-            f"refused (supported up to --n {MAX_SWEEP_QUBITS}); pass "
-            f"--force-sample COUNT to emit a random subsample instead"
-        )
-    sweep = compute_sweep(config)
+    sweep = compute_sweep(_perceptron_config(args))
     save_sweep(sweep, args.out, args.format)
     if sweep.max_abs_deviation is not None:
         print(
@@ -211,13 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", type=int, required=True)
     swp.add_argument("--out", required=True)
     swp.add_argument("--format", choices=SWEEP_FORMATS, default="csv")
-    swp.add_argument(
-        "--force-sample",
-        type=int,
-        default=None,
-        metavar="COUNT",
-        help="emit COUNT random cells instead of the full matrix",
-    )
     _add_measure_flags(swp)
     swp.set_defaults(handler=cmd_sweep)
 

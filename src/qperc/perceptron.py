@@ -101,8 +101,12 @@ class PerceptronConfig:
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ValueError(f"shots must be at least 1, got {self.shots}")
+        # numpy's binomial takes shots as an int64
+        if self.mode == "sampled" and not 1 <= self.shots <= np.iinfo(np.int64).max:
+            raise ValueError(
+                f"shots must be between 1 and {np.iinfo(np.int64).max}, "
+                f"got {self.shots}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -97,6 +97,15 @@ def test_negative_seed_exits_2_naming_seed(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
+def test_simulate_sampled_shots_beyond_int64_exits_2_naming_shots(capsys):
+    args = ("simulate", "--n", "2", "--input", "1", "--weight", "2", "--mode", "sampled")
+    assert run_cli(*args, "--shots", str(1 << 63)) == 2
+    assert capsys.readouterr().err.startswith("error: --shots: shots must be between 1 and")
+    assert run_cli(*args, "--shots", "100000000000000000000") == 2
+    assert capsys.readouterr().err.startswith("error: --shots: ")
+    assert run_cli(*args, "--shots", str((1 << 63) - 1)) == 0
+
+
 def test_sweep_writes_matrix(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--n", "2", "--out", str(out)) == 0
@@ -119,19 +128,18 @@ def test_sweep_refuses_n4_with_guidance(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--n", "4", "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "--force-sample" in err
+    assert err.startswith("error: exhaustive sweep supports n <= 3")
+    assert "`qperc gen-data --n 4 --weight W`" in err
     assert not out.exists()
 
 
-def test_sweep_force_sample(tmp_path):
+def test_sweep_force_sample_is_an_unknown_flag(tmp_path, capsys):
     out = tmp_path / "cells.csv"
-    assert run_cli(
-        "sweep", "--n", "4", "--out", str(out),
-        "--force-sample", "25", "--seed", "4",
-    ) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "input,weight,probability"
-    assert len(lines) == 26
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--n", "4", "--out", str(out), "--force-sample", "25")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force-sample" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_round_trip(tmp_path):

@@ -238,6 +238,10 @@ def test_load_rejects_sidecar_its_config_rejects(tmp_path):
     path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
     with pytest.raises(DatasetFormatError, match="shots"):
         load_dataset(path)
+    meta.update(shots=1 << 63)  # numpy's binomial needs shots to fit int64
+    path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
+    with pytest.raises(DatasetFormatError, match="shots must be between 1 and"):
+        load_dataset(path)
     meta.update(mode="exact", n=5)
     path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
     with pytest.raises(DatasetFormatError, match="n must be between 1 and 4"):

@@ -396,6 +396,19 @@ def test_measure_many_n4_rows_across_a_block_boundary():
             assert probs[i] == prob_qubit_one(_reference_state(i, w, 4), 4)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_exact_column_is_the_weight_0_column_xor_permuted(n):
+    # the input and weight sign rows multiply to the sign row of i ^ w
+    # exactly, so no weight's column holds a value the weight-0 column lacks
+    size = 1 << (1 << n)
+    config = PerceptronConfig(n=n)
+    base = measure_many(range(size), 0, config)
+    weights = range(size) if n <= 3 else (0, 626, 65535, 12345)
+    for w in weights:
+        permuted = base[np.arange(size) ^ w]
+        assert measure_many(range(size), w, config).tolist() == permuted.tolist()
+
+
 def test_measure_many_sampled_rows_equal_sample_qubit_of_reference():
     config = PerceptronConfig(n=3, mode="sampled", shots=100, seed=7)
     probs = measure_many(range(256), 77, config)

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperc.perceptron import PerceptronConfig
+from qperc.perceptron import PerceptronConfig, closed_form_probability
 from qperc.sweep import (
     SweepMatrix,
+    _closed_form_column,
     compute_sweep,
     load_sweep_csv,
-    sample_sweep_cells,
-    save_sampled_cells,
     save_sweep,
 )
 
@@ -65,6 +64,14 @@ def test_sweep_refuses_n4():
         compute_sweep(PerceptronConfig(n=4))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_column_equals_scalar_closed_form_on_every_pair(n):
+    size = 1 << (1 << n)
+    for w in range(size):
+        expected = [closed_form_probability(i, w, n) for i in range(size)]
+        assert _closed_form_column(w, n).tolist() == expected
+
+
 def test_sweep_csv_round_trip(tmp_path, sweep2):
     path = tmp_path / "sweep.csv"
     save_sweep(sweep2, path, "csv")
@@ -106,8 +113,6 @@ def test_sweep_json_payload(tmp_path, sweep2):
 def test_sweep_save_rejects_unknown_format(tmp_path, sweep2):
     with pytest.raises(ValueError):
         save_sweep(sweep2, tmp_path / "sweep.xml", "xml")
-    with pytest.raises(ValueError):
-        save_sampled_cells([], PerceptronConfig(n=2), tmp_path / "cells.xml", "xml")
 
 
 def test_sweep_save_is_byte_deterministic(tmp_path, sweep2):
@@ -126,37 +131,22 @@ def test_sampled_mode_sweep_stays_in_range():
     assert sweep.probs.shape == (4, 4)
 
 
-def test_sample_sweep_cells_deterministic():
-    config = PerceptronConfig(n=4, seed=9)
-    first = sample_sweep_cells(config, 20)
-    second = sample_sweep_cells(config, 20)
-    assert first == second
-    assert len(first) == 20
-    for i, w, p in first:
-        assert 0 <= i < 65536
-        assert 0 <= w < 65536
-        assert 0.0 <= p <= 1.0 + 1e-12
-
-
-def test_sampled_cells_json_payload(tmp_path):
-    config = PerceptronConfig(n=3, mode="sampled", shots=64, seed=4)
-    cells = sample_sweep_cells(config, 5)
-    path = tmp_path / "cells.json"
-    save_sampled_cells(cells, config, path, "json")
-    payload = json.loads(path.read_text())
-    assert {k: payload[k] for k in ("n", "mode", "shots", "seed")} == {
-        "n": 3, "mode": "sampled", "shots": 64, "seed": 4,
-    }
-    assert payload["cells"] == [[i, w, p] for i, w, p in cells]
-
-
-def test_sample_sweep_cells_rejects_bad_count():
-    with pytest.raises(ValueError):
-        sample_sweep_cells(PerceptronConfig(n=4), 0)
-
-
 def test_load_sweep_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not,a,sweep\n1,2,3\n")
     with pytest.raises(ValueError):
+        load_sweep_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (",0,1\n0,1,x\n1,0.5,1\n", r"bad\.csv: row 0: could not convert string to float: 'x'"),
+        (",0,1\n0,1,0.5\nx,0.5,1\n", r"bad\.csv: row 1: expected header 1 and 2 cells, got 'x'"),
+    ],
+)
+def test_load_sweep_csv_names_file_and_row(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
         load_sweep_csv(path)
