@@ -38,8 +38,10 @@ per input on average against weight 626 at n=4), so exact-mode outputs do
 not depend on how inputs are batched. The per-call cost is one 2n+1-gate
 list built and validated, plus one `check_value` per input and one for
 the weight (a one-row n=4 `measure` takes about 75 us on a 2-core Xeon);
-the per-row cost is two sign rows, about 2m * (2n + 2) amplitude
-operations and, in sampled mode, one seeded binomial draw.
+the per-row cost is two sign rows and about 2m * (2n + 2) amplitude
+operations. Sampled mode adds one call of `statevector.sample_rates` per
+call: it hashes each row's key to a uniform and reads the row's hit count
+off one inverse binomial CDF table per distinct P.
 
 `check_value` is the single range rule for encoded values; the dataset,
 training, rendering and CLI layers all call it.
@@ -57,12 +59,13 @@ from .statevector import (
     Circuit,
     GateOp,
     apply_gate,
-    binomial_estimate,
+    check_shots,
     h,
     mcx,
     mcz,
     new_zero_state,
     run_circuit_rows,
+    sample_rates,
     x,
 )
 
@@ -85,8 +88,8 @@ class PerceptronConfig:
     shots  Bernoulli draws per sampled measurement
     mode   "exact" reads the ancilla probability off the state vector,
            "sampled" estimates it from `shots` seeded draws
-    seed   RNG seed for sampled mode, combined with each (input, weight)
-           pair; ignored when mode is "exact"
+    seed   sampled mode's key, hashed with each (input, weight) pair;
+           ignored when mode is "exact"
     """
 
     n: int
@@ -101,12 +104,8 @@ class PerceptronConfig:
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # numpy's binomial takes shots as an int64
-        if self.mode == "sampled" and not 1 <= self.shots <= np.iinfo(np.int64).max:
-            raise ValueError(
-                f"shots must be between 1 and {np.iinfo(np.int64).max}, "
-                f"got {self.shots}"
-            )
+        if self.mode == "sampled":
+            check_shots(self.shots)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -193,14 +192,16 @@ def _sign_rows(values: list[int], m: int) -> np.ndarray:
 
 
 def measure_many(
-    inputs: Iterable[int], weight: int, config: PerceptronConfig
+    inputs: Iterable[int], weight: int, config: PerceptronConfig, epoch: int = 0
 ) -> np.ndarray:
     """Evaluate every input against one weight; P for each input, in order.
 
     Exact mode returns the ancilla's probability of 1 from each final state
-    vector; sampled mode estimates it from config.shots draws seeded by
-    (config.seed, input, weight), so pairs with the same true probability
-    get independent noise and a rerun gets the same estimate.
+    vector; sampled mode estimates it from config.shots draws keyed by
+    (config.seed, input, weight), with the training epoch appended when it
+    is not 0, so pairs with the same true probability get independent
+    noise, each training epoch gets fresh noise, and a rerun gets the same
+    estimate.
     """
     n = config.n
     values = list(inputs)
@@ -223,8 +224,8 @@ def measure_many(
             ones.real**2 + ones.imag**2, axis=1
         )
     if config.mode == "sampled":
-        for row, value in enumerate(values):
-            probs[row] = binomial_estimate(
-                probs[row], config.shots, [config.seed, value, weight]
-            )
+        key = [config.seed, np.array(values, dtype=np.uint64), weight]
+        if epoch:
+            key.append(epoch)
+        probs = sample_rates(probs, config.shots, key)
     return probs

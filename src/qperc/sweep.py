@@ -101,7 +101,10 @@ def save_sweep(sweep: SweepMatrix, path: str | Path, fmt: str = "csv") -> None:
 
 
 def load_sweep_csv(path: str | Path) -> np.ndarray:
-    """Read back a CSV matrix written by save_sweep; errors name the row."""
+    """Read back a CSV matrix written by save_sweep; errors name the row.
+
+    Every cell must be a probability in [0, 1].
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith(","):
         raise ValueError(f"{path}: missing sweep header row")
@@ -120,4 +123,10 @@ def load_sweep_csv(path: str | Path) -> np.ndarray:
             probs[i] = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}: row {i}: {exc}") from None
+        outside = ~((probs[i] >= 0.0) & (probs[i] <= 1.0))  # nan is outside too
+        if outside.any():
+            w = int(np.argmax(outside))
+            raise ValueError(
+                f"{path}: row {i}: column {w}: probability out of [0, 1]: {probs[i, w]}"
+            )
     return probs

@@ -19,7 +19,8 @@ Bit positions follow the usual integer convention: position 0 is the least
 significant bit. One PCG64 generator seeded with config.seed supplies the
 initial weight and every flip choice. Every example is measured with the
 dataset's own settings (dataset.config), so sampled-mode noise comes from
-the dataset's seed and never disturbs the training stream.
+the dataset's seed and the epoch, is fresh for the same example in each
+epoch, and never disturbs the training stream.
 
 The weight changes on few examples (10 to 60 times in a 65,536-example
 n=4 epoch), so the examples are evaluated in look-ahead chunks: one
@@ -28,8 +29,8 @@ current weight, the steps are walked in order, and after the first step
 that changes the weight the next chunk starts at the following example.
 Each chunk used up without a change doubles the next one. This gives the
 same steps as measuring one example at a time: a row's P does not depend
-on which batch it is in, sampled draws are seeded per (seed, input,
-weight), and the rng makes the same calls in the same order.
+on which batch it is in, sampled draws are keyed by (seed, input,
+weight, epoch), and the rng makes the same calls in the same order.
 
 Each step goes to a sink as soon as it is made. train() collects them in
 TrainResult.trace by default; trace_writer() is a sink that streams them
@@ -205,7 +206,7 @@ def train(
             # Look ahead: the rest of the epoch against the current weight,
             # walked until the first step that changes it.
             chunk = values[start : start + rows]
-            probs = measure_many(chunk, weight, measurement).tolist()
+            probs = measure_many(chunk, weight, measurement, epoch).tolist()
             for index, p1 in enumerate(probs, start):
                 ex = examples[index]
                 predicted = label_from_probability(p1)

@@ -7,7 +7,8 @@ import pytest
 import qperc.training as training
 from qperc.cli import main
 from qperc.dataset import load_dataset
-from qperc.perceptron import measure
+from qperc.perceptron import measure_many
+from qperc.statevector import MAX_SHOTS
 from qperc.sweep import load_sweep_csv
 from qperc.training import TrainConfig, init_weight, load_trace, save_trace, train
 
@@ -103,7 +104,11 @@ def test_simulate_sampled_shots_beyond_int64_exits_2_naming_shots(capsys):
     assert capsys.readouterr().err.startswith("error: --shots: shots must be between 1 and")
     assert run_cli(*args, "--shots", "100000000000000000000") == 2
     assert capsys.readouterr().err.startswith("error: --shots: ")
-    assert run_cli(*args, "--shots", str((1 << 63) - 1)) == 0
+    assert run_cli(*args, "--shots", str(MAX_SHOTS + 1)) == 2
+    assert capsys.readouterr().err.startswith("error: --shots: shots must be between 1 and")
+    # P = 0.25: a near-widest binomial table at the cap
+    near_widest = ("simulate", "--n", "2", "--input", "0", "--weight", "1", "--mode", "sampled")
+    assert run_cli(*near_widest, "--shots", str(MAX_SHOTS)) == 0
 
 
 def test_sweep_writes_matrix(tmp_path, capsys):
@@ -228,7 +233,8 @@ def test_train_sampled_measures_with_dataset_seed(tmp_path):
     steps = load_trace(trace)
     assert steps
     for step in steps:
-        assert step.p1 == measure(step.example_value, step.weight_before, config)
+        row = measure_many((step.example_value,), step.weight_before, config, step.epoch)
+        assert step.p1 == row[0]
 
 
 def test_gen_data_rejects_out_of_range_weight(capsys):

@@ -238,7 +238,7 @@ def test_load_rejects_sidecar_its_config_rejects(tmp_path):
     path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
     with pytest.raises(DatasetFormatError, match="shots"):
         load_dataset(path)
-    meta.update(shots=1 << 63)  # numpy's binomial needs shots to fit int64
+    meta.update(shots=1 << 63)  # above MAX_SHOTS
     path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
     with pytest.raises(DatasetFormatError, match="shots must be between 1 and"):
         load_dataset(path)

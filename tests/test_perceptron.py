@@ -360,6 +360,21 @@ def test_sampled_noise_is_independent_across_pairs_with_equal_p():
         assert binomtest(hits, shots * len(estimates), p).pvalue > 0.001
 
 
+def test_sampled_epochs_draw_fresh_noise_for_the_same_pairs():
+    config = PerceptronConfig(n=3, mode="sampled", shots=8192, seed=5)
+    exact = measure_many(range(256), 77, PerceptronConfig(n=3))
+    noisy = (exact > 0.0) & (exact < 1.0)
+    assert noisy.sum() > 100
+    outside = measure_many(range(256), 77, config)
+    assert measure_many(range(256), 77, config, 0).tolist() == outside.tolist()
+    first, second = (measure_many(range(256), 77, config, e) for e in (1, 2))
+    assert first.tolist() == measure_many(range(256), 77, config, 1).tolist()
+    # Two independent draws at 8192 shots tie with probability below 0.05.
+    assert np.mean(first[noisy] != second[noisy]) > 0.8
+    assert np.mean(first[noisy] != outside[noisy]) > 0.8
+    assert (first[~noisy] == second[~noisy]).all()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PerceptronConfig(n=0)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from qperc.statevector import (
+    MAX_SHOTS,
     Circuit,
     GateOp,
     StateVector,
@@ -18,8 +20,10 @@ from qperc.statevector import (
     run_circuit,
     run_circuit_rows,
     sample_qubit,
+    sample_rates,
     x,
 )
+from qperc.statevector import _binomial_cdf, _mix64, _uniforms
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -261,6 +265,106 @@ def test_sample_qubit_statistical_accuracy():
         for seed in range(100)
     )
     assert within >= 99
+
+
+def test_sample_qubit_rejects_shots_above_the_cap():
+    state = apply_gate(new_zero_state(1), h(0))
+    for shots in (MAX_SHOTS + 1, 1 << 63):
+        with pytest.raises(ValueError, match="shots must be between 1 and"):
+            sample_qubit(state, 0, shots, 0)
+    assert 0.49 < sample_qubit(state, 0, MAX_SHOTS, 0) < 0.51
+
+
+def test_sample_qubit_seed_limbs_beyond_64_bits():
+    state = apply_gate(new_zero_state(1), h(0))
+    draws = [sample_qubit(state, 0, 8192, seed) for seed in (0, 1 << 64, [0, 0])]
+    assert len(set(draws)) == 3
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_qubit(state, 0, 8192, [1, -1])
+
+
+def test_mix64_is_the_splitmix64_finaliser():
+    # The first three SplitMix64 outputs from seed 0 (Steele, Lea and Flood).
+    gamma = 0x9E3779B97F4A7C15
+    states = np.array([gamma * k % (1 << 64) for k in (1, 2, 3)], dtype=np.uint64)
+    assert _mix64(states).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, uniform",
+    [
+        ([0], "0x1.7906ac21d0e58p-2"),
+        ([1 << 64], "0x1.ef7186a178a00p-10"),
+        ([7, 3, 77], "0x1.48776328e3ee0p-1"),
+        ([12345, 0, 255, 1], "0x1.7b846b70ea5bap-2"),
+    ],
+)
+def test_uniforms_are_pinned(key, uniform):
+    assert _uniforms(key, 1).tolist() == [float.fromhex(uniform)]
+
+
+def test_uniforms_fold_an_array_word_like_the_int_it_holds():
+    rows = np.array([0, 3, 1 << 40], dtype=np.uint64)
+    batched = _uniforms([7, rows, 77, 2], 3).tolist()
+    assert batched == [_uniforms([7, int(r), 77, 2], 1)[0] for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("shots", [1, 2, 100, 8192, 10**5, 1 << 20])
+@pytest.mark.parametrize(
+    "p", [1e-30, 1e-6, 0.015625, 0.24999999999999983, 0.5, 0.765625, 1 - 1e-9]
+)
+def test_binomial_table_matches_scipy(shots, p):
+    lo, cdf = _binomial_cdf(shots, p)
+    hi = lo + len(cdf) - 1
+    assert 0 <= lo <= hi <= shots
+    assert cdf[-1] == 1.0
+    assert np.max(np.abs(cdf - binom.cdf(np.arange(lo, hi + 1), shots, p))) < 1e-12
+    assert binom.cdf(lo - 1, shots, p) + binom.sf(hi, shots, p) < 2.0**-60
+
+
+def test_widest_binomial_table_stays_under_40_mb():
+    tracemalloc.start()
+    try:
+        lo, cdf = _binomial_cdf(MAX_SHOTS, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cdf) == 655_441
+    assert peak < 40 * 2**20
+
+
+@st.composite
+def _sample_rows(draw):
+    size = draw(st.integers(1, 24))
+    # a few distinct P, as in a circuit column, plus the certain ones
+    ps = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)) + [0.0, 1.0]
+    probs = [draw(st.sampled_from(ps)) for _ in range(size)]
+    inputs = draw(st.lists(st.integers(0, 2**16), min_size=size, max_size=size))
+    return probs, inputs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sample_rows(), st.integers(1, 10**6), st.randoms(use_true_random=False))
+def test_sample_rates_row_depends_only_on_its_key_and_p(rows, shots, random):
+    # any subset, order or chunking of the rows draws the same per row
+    probs, inputs = rows
+
+    def draw(picked):
+        key = [5, np.array([inputs[r] for r in picked], dtype=np.uint64), 9]
+        return sample_rates(np.array([probs[r] for r in picked]), shots, key).tolist()
+
+    whole = draw(range(len(probs)))
+    order = list(range(len(probs)))
+    random.shuffle(order)
+    cut = random.randint(0, len(order))
+    for chunk in (order[:cut], order[cut:]):
+        assert draw(chunk) == [whole[r] for r in chunk]
+    for r, p in enumerate(probs):
+        assert round(whole[r] * shots) / shots == whole[r]
+        if p == 0.0 or p == 1.0:
+            assert whole[r] == p
 
 
 def test_kernels_need_at_most_one_state_sized_temporary():

@@ -143,6 +143,11 @@ def test_load_sweep_csv_rejects_garbage(tmp_path):
     [
         (",0,1\n0,1,x\n1,0.5,1\n", r"bad\.csv: row 0: could not convert string to float: 'x'"),
         (",0,1\n0,1,0.5\nx,0.5,1\n", r"bad\.csv: row 1: expected header 1 and 2 cells, got 'x'"),
+        (",0,1\n0,1,nan\n1,0.5,1\n", r"bad\.csv: row 0: column 1: probability out of \[0, 1\]: nan"),
+        (",0,1\n0,1,0.5\n1,-3,1\n", r"bad\.csv: row 1: column 0: probability out of \[0, 1\]: -3\.0"),
+        (",0,1\n0,inf,0.5\n1,0.5,1\n", r"bad\.csv: row 0: column 0: probability out of \[0, 1\]: inf"),
+        (",0,1\n0,1,0.5\n1,0.5,1e300\n", r"bad\.csv: row 1: column 1: probability out of \[0, 1\]: 1e\+300"),
+        (",0,1\n0,1,0.5\n1,0.5,-inf\n", r"bad\.csv: row 1: column 1: probability out of \[0, 1\]: -inf"),
     ],
 )
 def test_load_sweep_csv_names_file_and_row(tmp_path, text, match):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qperc.training as training
 from qperc.dataset import Dataset, generate_dataset
-from qperc.perceptron import BLOCK_ROWS, PerceptronConfig, measure
+from qperc.perceptron import BLOCK_ROWS, PerceptronConfig, measure_many
 from qperc.training import (
     ACTIONS,
     TrainConfig,
@@ -384,7 +384,7 @@ def test_train_rejects_out_of_range_target(dataset12):
 
 
 def reference_train(dataset, optimal_weight, config):
-    """The per-example loop: one measure() per example, flip_bits on a miss."""
+    """The per-example loop: measure_many of one row per example, flip_bits on a miss."""
     m = 1 << dataset.config.n
     full_mask = (1 << m) - 1
     targets = {optimal_weight}
@@ -398,7 +398,7 @@ def reference_train(dataset, optimal_weight, config):
     updates = 0
     for epoch in range(1, config.max_epochs + 1):
         for ex in dataset.examples:
-            p1 = measure(ex.value, weight, dataset.config)
+            p1 = float(measure_many((ex.value,), weight, dataset.config, epoch)[0])
             predicted = 1 if p1 >= 0.5 else 0
             before, action, flipped = weight, "none", ()
             if predicted != ex.label:
@@ -456,9 +456,9 @@ def test_train_equals_reference_across_look_ahead_blocks(monkeypatch):
     chunks = []
     measure_many = training.measure_many
 
-    def spy(inputs, weight, measurement):
+    def spy(inputs, weight, measurement, epoch):
         chunks.append(len(inputs))
-        return measure_many(inputs, weight, measurement)
+        return measure_many(inputs, weight, measurement, epoch)
 
     monkeypatch.setattr(training, "measure_many", spy)
     result = train(dataset, 12345, config)
