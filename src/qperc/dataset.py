@@ -18,7 +18,9 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .ioutil import atomic_write_text
+import numpy as np
+
+from .ioutil import atomic_write_text, format_12g
 from .perceptron import MODES, PerceptronConfig, check_value, measure_many
 
 CSV_HEADER = "value,label,probability"
@@ -64,9 +66,11 @@ def _meta_path(path: str | Path) -> Path:
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the CSV rows and the JSON sidecar, both atomically."""
+    examples = dataset.examples
+    texts, index = format_12g(np.array([ex.probability for ex in examples]))
     lines = [CSV_HEADER]
-    for ex in dataset.examples:
-        lines.append(f"{ex.value},{ex.label},{format(ex.probability, '.12g')}")
+    for ex, j in zip(examples, index.tolist()):
+        lines.append(f"{ex.value},{ex.label},{texts[j]}")
     atomic_write_text(path, "\n".join(lines) + "\n")
     meta = asdict(dataset.config)
     meta["optimal_weight"] = dataset.optimal_weight
@@ -114,9 +118,9 @@ def load_dataset(path: str | Path) -> Dataset:
     """Parse and validate a dataset written by save_dataset.
 
     Raises DatasetFormatError naming the offending line and field when the
-    CSV is malformed, a label is out of range, a label disagrees with its
-    stored probability, or the value column does not cover the full range
-    in ascending order.
+    CSV is malformed, a label is not exactly 0 or 1, a label disagrees with
+    its stored probability, or the value column is not the full range in
+    ascending order, written in plain decimal as save_dataset writes it.
     """
     path = Path(path)
     config, optimal_weight = _parse_meta(_meta_path(path))
@@ -146,20 +150,19 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: expected 3 fields, got {len(fields)}"
             )
-        try:
-            value = int(fields[0])
-        except ValueError:
+        # Exactly the text save_dataset writes: int() would also take
+        # "+1", " 1", "0_1" and "01".
+        if fields[0] != str(row_index):
             raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'value': "
-                f"not an integer: {fields[0]!r}"
-            ) from None
-        try:
-            label = int(fields[1])
-        except ValueError:
+                f"{path}: line {lineno}: field 'value': expected "
+                f"{str(row_index)!r} (ascending, gap-free), got {fields[0]!r}"
+            )
+        if fields[1] not in ("0", "1"):
             raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'label': "
-                f"not an integer: {fields[1]!r}"
-            ) from None
+                f"{path}: line {lineno}: field 'label': must be '0' or '1', "
+                f"got {fields[1]!r}"
+            )
+        label = int(fields[1])
         try:
             probability = float(fields[2])
         except ValueError:
@@ -167,15 +170,6 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"{path}: line {lineno}: field 'probability': "
                 f"not a number: {fields[2]!r}"
             ) from None
-        if value != row_index:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'value': expected {row_index} "
-                f"(ascending, gap-free), got {value}"
-            )
-        if label not in (0, 1):
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'label': must be 0 or 1, got {label}"
-            )
         if not 0.0 <= probability <= 1.0 + 1e-9:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: field 'probability': "
@@ -186,6 +180,6 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"{path}: line {lineno}: field 'label': {label} disagrees "
                 f"with probability {probability}"
             )
-        examples.append(LabeledExample(value, label, probability))
+        examples.append(LabeledExample(row_index, label, probability))
 
     return Dataset(config, optimal_weight, examples)

@@ -1,4 +1,6 @@
-"""Atomic file writes: temp file in the destination directory, then rename."""
+"""Atomic file writes (temp file in the destination directory, then
+rename) and the 12-significant-digit text that files store probabilities in.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +9,8 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator
+
+import numpy as np
 
 
 @contextmanager
@@ -41,3 +45,26 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def format_12g(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(texts, index): texts[index[k]] == format(values[k], ".12g").
+
+    index has the shape of values. Each distinct float is formatted once;
+    floats are told apart by their bits, so -0.0 and 0.0 keep their own
+    texts.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    # np.unique would do, but numpy 2.4's imports numpy.ma (0.5 MB) on first use
+    ordered = np.sort(bits, axis=None)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    texts = [format(p, ".12g") for p in distinct.view(np.float64).tolist()]
+    return texts, np.searchsorted(distinct, bits)
+
+
+def round_12g(values: np.ndarray) -> np.ndarray:
+    """float(format(p, ".12g")) for every value, in the shape of values."""
+    texts, index = format_12g(values)
+    return np.array([float(t) for t in texts])[index]

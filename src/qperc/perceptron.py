@@ -25,23 +25,26 @@ is 0, which flips the phase of exactly |j>. That costs at most m MCZ and
 `measure_many` is the one circuit evaluator; `measure` is its one-row call.
 After the Hadamard layer every data amplitude has the same magnitude, so
 each sign oracle only multiplies amplitude j by a sign, and a +-1 multiply
-is exact there. Each row is therefore the cached Hadamard-layer state
-(computed once per n by the gate kernels) times the input's sign row times
-the weight's sign row. What is left of the circuit is the fixed readout:
-the Hadamard and X layers and the MCX, 2n+1 gates in one `Circuit`, run
-over blocks of up to BLOCK_ROWS rows, so each gate is one numpy call per
-block rather than one per row.
+is exact there. The input's and the weight's sign rows multiply to the
+sign row of input ^ weight exactly, so each row is the cached
+Hadamard-layer state (computed once per n by the gate kernels) times that
+one sign row, and every row may carry its own weight. What is left of the
+circuit is the fixed readout: the Hadamard and X layers and the MCX, 2n+1
+gates in one `Circuit`, run over blocks of up to BLOCK_ROWS rows, so each
+gate is one numpy call per block rather than one per row.
 
 P is then the summed squared ancilla-1 amplitudes of each row. Each row's
 P equals, bit for bit, the P of its full gate-by-gate circuit (74 gates
 per input on average against weight 626 at n=4), so exact-mode outputs do
 not depend on how inputs are batched. The per-call cost is one 2n+1-gate
-list built and validated, plus one `check_value` per input and one for
-the weight (a one-row n=4 `measure` takes about 75 us on a 2-core Xeon);
-the per-row cost is two sign rows and about 2m * (2n + 2) amplitude
-operations. Sampled mode adds one call of `statevector.sample_rates` per
-call: it hashes each row's key to a uniform and reads the row's hit count
-off one inverse binomial CDF table per distinct P.
+list built and validated, and one vectorised range check each for the
+inputs and the weights (a one-row n=4 `measure` takes about 75 us on a
+2-core Xeon); the per-row cost is one sign row and about 2m * (2n + 2)
+amplitude operations. Sampled mode adds one call of
+`statevector.sample_rates` per block: it hashes each row's key to a
+uniform and reads the row's hit count off one inverse binomial CDF table
+per distinct P in the block, so a block's size bounds the tables and
+uniforms as it bounds the amplitudes.
 
 `check_value` is the single range rule for encoded values; the dataset,
 training, rendering and CLI layers all call it.
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,9 +78,10 @@ MODES = ("exact", "sampled")
 
 DEFAULT_SHOTS = 8192
 
-# Rows per block in measure_many: a 4096 x 32 complex block at n=4 is 2 MB,
-# so memory stays flat however many inputs are evaluated.
-BLOCK_ROWS = 4096
+# Rows per block in measure_many: a 1024 x 32 complex block at n=4 is
+# 512 KB, which stays in cache, and memory stays flat however many inputs
+# are evaluated.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -185,47 +189,78 @@ def _hadamard_layer(n: int) -> np.ndarray:
     return state.amplitudes
 
 
-def _sign_rows(values: list[int], m: int) -> np.ndarray:
+def _sign_rows(values: np.ndarray, m: int) -> np.ndarray:
     """One row of m float signs per value, MSB first: a set bit is -1.0."""
-    bits = np.array(values, dtype=np.int64)[:, None] >> np.arange(m - 1, -1, -1)
+    bits = values[:, None] >> np.arange(m - 1, -1, -1, dtype=np.uint8)
     return 1.0 - 2.0 * (bits & 1)
 
 
-def measure_many(
-    inputs: Iterable[int], weight: int, config: PerceptronConfig, epoch: int = 0
-) -> np.ndarray:
-    """Evaluate every input against one weight; P for each input, in order.
+def _check_values(values: Sequence[int], n: int, what: str) -> np.ndarray:
+    """The values as an integer array, range-checked by one check_value call.
 
-    Exact mode returns the ancilla's probability of 1 from each final state
-    vector; sampled mode estimates it from config.shots draws keyed by
-    (config.seed, input, weight), with the training epoch appended when it
-    is not 0, so pairs with the same true probability get independent
-    noise, each training epoch gets fresh noise, and a rerun gets the same
-    estimate.
+    The call gets the first value out of range, so the error names it as a
+    per-value check would, or the first value when all are in range. An
+    integer array is used as it is; ints past int64 make an object array,
+    which compares like the ints it holds.
+    """
+    array = np.asarray(values)
+    if len(array):
+        outside = (array < 0) | (array >= 1 << (1 << n))
+        check_value(values[int(np.argmax(outside))], n, what)
+    return array
+
+
+def measure_many(
+    inputs: Iterable[int],
+    weight: int | Sequence[int],
+    config: PerceptronConfig,
+    epoch: int = 0,
+) -> np.ndarray:
+    """Evaluate every input against its weight; P for each input, in order.
+
+    `weight` is one weight for every input or a sequence of one weight per
+    input. Exact mode returns the ancilla's probability of 1 from each
+    final state vector; sampled mode estimates it from config.shots draws
+    keyed by (config.seed, input, weight), with the training epoch
+    appended when it is not 0, so pairs with the same true probability get
+    independent noise, each training epoch gets fresh noise, and a rerun
+    gets the same estimate.
     """
     n = config.n
-    values = list(inputs)
-    for value in values:
-        check_value(value, n, "input value")
-    check_value(weight, n, "weight")
+    if not isinstance(inputs, (np.ndarray, Sequence)):
+        inputs = list(inputs)
+    values = _check_values(inputs, n, "input value")
+    if np.ndim(weight) == 0:
+        check_value(weight, n, "weight")
+        # a numpy scalar, so that `chunk ^ weights` takes the wider type
+        weights = np.int64(weight)
+    else:
+        weights = _check_values(weight, n, "weight")
+        if len(weights) != len(values):
+            raise ValueError(
+                f"got {len(weights)} weights for {len(values)} inputs"
+            )
     circuit = Circuit(n + 1, _unprep_layers(n) + [mcx(range(n), n)])
     m = 1 << n
     # The ancilla is the lowest index bit: column 1 holds its |1> amplitudes.
     prepared = _hadamard_layer(n).reshape(m, 2)
-    weight_signs = _sign_rows([weight], m)
     probs = np.empty(len(values))
     for start in range(0, len(values), BLOCK_ROWS):
-        chunk = values[start : start + BLOCK_ROWS]
-        block = prepared * (_sign_rows(chunk, m) * weight_signs)[:, :, None]
+        rows = slice(start, start + BLOCK_ROWS)
+        chunk = values[rows]
+        chunk_weights = weights[rows] if weights.ndim else weights
+        block = prepared * _sign_rows(chunk ^ chunk_weights, m)[:, :, None]
         block = block.reshape(len(chunk), 2 * m)
         run_circuit_rows(circuit, block)
         ones = block.reshape(len(chunk), m, 2)[:, :, 1]
-        probs[start : start + len(chunk)] = np.sum(
-            ones.real**2 + ones.imag**2, axis=1
-        )
-    if config.mode == "sampled":
-        key = [config.seed, np.array(values, dtype=np.uint64), weight]
-        if epoch:
-            key.append(epoch)
-        probs = sample_rates(probs, config.shots, key)
+        probs[rows] = np.sum(ones.real**2 + ones.imag**2, axis=1)
+        if config.mode == "sampled":
+            key = [
+                config.seed,
+                chunk.astype(np.uint64),
+                chunk_weights.astype(np.uint64),
+            ]
+            if epoch:
+                key.append(epoch)
+            probs[rows] = sample_rates(probs[rows], config.shots, key)
     return probs

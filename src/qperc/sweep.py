@@ -7,8 +7,10 @@ d = popcount(i ^ w), and the input and weight sign rows multiply to the
 sign row of i ^ w exactly, so every weight's column is the weight-0 column
 with its inputs XOR-permuted, bit for bit. One `qperc gen-data` column
 therefore already holds every distinct circuit value of the n = 4 matrix.
-Cells are stored at the file format's 12-significant-digit precision,
-which makes the saved and in-memory matrices agree exactly.
+`compute_sweep` makes one `measure_many` call over all size^2 pairs,
+weight-major, one weight per row. Cells are stored at the file format's
+12-significant-digit precision, which makes the saved and in-memory
+matrices agree exactly; each distinct float is formatted once.
 
 In exact mode every cell is also checked against the closed-form
 probability and the largest absolute deviation is kept on the result.
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, format_12g, round_12g
 from .perceptron import (
     PerceptronConfig,
     check_value,
@@ -70,34 +72,42 @@ def compute_sweep(config: PerceptronConfig) -> SweepMatrix:
             f"weight-0 column with its inputs XOR-permuted, so one column from "
             f"`qperc gen-data --n {config.n} --weight W` holds every distinct value"
         )
-    probs = np.empty((size, size), dtype=np.float64)
-    deviation = 0.0
-    exact = config.mode == "exact"
-    for w in range(size):
-        column = measure_many(range(size), w, config)
-        if exact:
-            oracle = _closed_form_column(w, config.n)
-            deviation = max(deviation, float(np.max(np.abs(column - oracle))))
-        probs[:, w] = [float(format(p, ".12g")) for p in column.tolist()]
-    return SweepMatrix(config, probs, deviation if exact else None)
+    # uint16, not int64: the two size^2 index arrays then take 128 KB each
+    values = np.arange(size, dtype=np.uint16)
+    # Weight-major: row w * size + i is input i against weight w.
+    columns = measure_many(np.tile(values, size), np.repeat(values, size), config)
+    columns = columns.reshape(size, size)
+    deviation = None
+    if config.mode == "exact":
+        deviation = max(
+            float(np.max(np.abs(columns[w] - _closed_form_column(w, config.n))))
+            for w in range(size)
+        )
+    return SweepMatrix(config, round_12g(columns).T, deviation)
 
 
 def save_sweep(sweep: SweepMatrix, path: str | Path, fmt: str = "csv") -> None:
     """Write the matrix as CSV (value headers on row and column) or JSON."""
     if fmt not in SWEEP_FORMATS:
         raise ValueError(f"format must be one of {SWEEP_FORMATS}, got {fmt!r}")
-    size = sweep.probs.shape[0]
     if fmt == "csv":
-        lines = ["," + ",".join(str(w) for w in range(size))]
-        for i in range(size):
-            cells = ",".join(format(p, ".12g") for p in sweep.probs[i])
-            lines.append(f"{i},{cells}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, _csv_text(sweep.probs))
         return
     payload = asdict(sweep.config)
     payload["max_abs_deviation"] = sweep.max_abs_deviation
-    payload["probs"] = [[float(format(p, ".12g")) for p in row] for row in sweep.probs]
+    payload["probs"] = round_12g(sweep.probs).tolist()
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _csv_text(probs: np.ndarray) -> str:
+    """The CSV matrix: value headers on row and column, cells at 12 digits."""
+    texts, index = format_12g(probs)
+    size = len(probs)
+    lines = ["," + ",".join(str(w) for w in range(size)) + "\n"]
+    for i in range(size):
+        cells = ",".join([texts[j] for j in index[i].tolist()])
+        lines.append(f"{i},{cells}\n")
+    return "".join(lines)
 
 
 def load_sweep_csv(path: str | Path) -> np.ndarray:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,3 +435,15 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
     assert exc.value.code == 2
+
+
+def test_python_m_qperc_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = ["simulate", "--n", "2", "--input", "7", "--weight", "7"]
+    result = subprocess.run(
+        [sys.executable, "-m", "qperc", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1\n"

@@ -187,6 +187,28 @@ def test_load_rejects_non_integer_value(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("+1,0,0.25", "value"),
+        (" 1,0,0.25", "value"),
+        ("0_1,0,0.25", "value"),
+        ("01,0,0.25", "value"),
+        ("1,+0,0.25", "label"),
+        ("1, 0,0.25", "label"),
+        ("1,0_0,0.25", "label"),
+    ],
+)
+def test_load_rejects_integers_save_never_writes(tmp_path, line, field):
+    # int() parses every one of these as the row's own value or label
+    rows = _valid_rows()
+    assert rows[2] == "1,0,0.25"
+    rows[2] = line
+    path = _write_dataset(tmp_path, rows)
+    with pytest.raises(DatasetFormatError, match=f"line 3: field '{field}'"):
+        load_dataset(path)
+
+
 def test_load_rejects_bad_probability(tmp_path):
     rows = _valid_rows()
     rows[2] = "1,0,nope"

@@ -4,7 +4,9 @@ No speed-up may change a byte of an exact-mode file: evaluating in another
 order or summing differently could move the 12th significant digit. The
 exact digests were taken from the per-pair circuit loop that measure_many
 replaced. The sampled digest pins the counter-based sampler: its hash of
-(seed, input, weight) and its inverse binomial CDF tables.
+(seed, input, weight) and its inverse binomial CDF tables. The two trace
+digests pin training: one streamed strict n=4 epoch, and 20 epochs on a
+sampled n=3 dataset, whose draws are keyed by the epoch too.
 """
 
 import hashlib
@@ -19,6 +21,12 @@ SWEEP_N3_CSV_SHA256 = (
 )
 SWEEP_N3_SAMPLED_SEED_12345_CSV_SHA256 = (
     "0b6bd69ab83a56ca5aa961a2d4b367d2751b026b24d79c7160c0702adf0b9159"
+)
+TRAIN_N4_STRICT_EPOCH_TRACE_SHA256 = (
+    "4ebee41a4af923dd175d4704cbf2d99c7f1a0091f250af5d05872845df0b6a07"
+)
+TRAIN_N3_SAMPLED_20_EPOCHS_TRACE_SHA256 = (
+    "250aca9ace4eeb78b2f829535da82551bc4d42e84370dd3599007f641d0c5aee"
 )
 
 
@@ -43,3 +51,24 @@ def test_sweep_n3_sampled_csv_bytes(tmp_path):
     args = ["sweep", "--n", "3", "--mode", "sampled", "--shots", "8192"]
     assert main(args + ["--seed", "12345", "--out", str(out)]) == 0
     assert _sha256(out) == SWEEP_N3_SAMPLED_SEED_12345_CSV_SHA256
+
+
+def test_train_n4_strict_epoch_trace_bytes(tmp_path, capsys):
+    data, trace = tmp_path / "data.csv", tmp_path / "trace.jsonl"
+    assert main(["gen-data", "--n", "4", "--weight", "626", "--out", str(data)]) == 0
+    args = ["train", "--data", str(data), "--max-epochs", "1"]
+    args += ["--convergence", "strict", "--optimal-weight", "653", "--seed", "7"]
+    assert main(args + ["--trace-out", str(trace)]) == 0
+    assert "epochs run: 1\n" in capsys.readouterr().out
+    assert _sha256(trace) == TRAIN_N4_STRICT_EPOCH_TRACE_SHA256
+
+
+def test_train_n3_sampled_20_epochs_trace_bytes(tmp_path, capsys):
+    data, trace = tmp_path / "data.csv", tmp_path / "trace.jsonl"
+    args = ["gen-data", "--n", "3", "--weight", "77", "--mode", "sampled"]
+    assert main(args + ["--shots", "256", "--seed", "5", "--out", str(data)]) == 0
+    args = ["train", "--data", str(data), "--max-epochs", "20"]
+    args += ["--convergence", "strict", "--optimal-weight", "66", "--seed", "1"]
+    assert main(args + ["--trace-out", str(trace)]) == 0
+    assert "epochs run: 20\n" in capsys.readouterr().out
+    assert _sha256(trace) == TRAIN_N3_SAMPLED_20_EPOCHS_TRACE_SHA256

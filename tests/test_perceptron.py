@@ -460,3 +460,60 @@ def test_measure_many_rows_equal_the_gate_reference(batch, mode):
             assert p == prob_qubit_one(state, n)
         else:
             assert p == sample_qubit(state, n, 64, [3, i, w])
+
+
+@st.composite
+def _weighted_batches(draw):
+    n = draw(st.integers(1, 4))
+    top = (1 << (1 << n)) - 1
+    inputs = draw(st.lists(st.integers(0, top), max_size=12))
+    weights = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    return n, inputs, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_batches(), st.sampled_from(MODES), st.sampled_from([0, 2]))
+def test_a_weight_per_input_equals_one_weight(batch, mode, epoch):
+    n, inputs, weights = batch
+    config = PerceptronConfig(n=n, mode=mode, shots=64, seed=3)
+    w = weights[0]
+    one = measure_many(inputs, w, config, epoch)
+    assert measure_many(inputs, [w] * len(inputs), config, epoch).tobytes() == one.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_batches(), st.sampled_from(MODES), st.sampled_from([0, 2]))
+def test_mixed_weights_equal_the_per_weight_calls_row_by_row(batch, mode, epoch):
+    n, inputs, weights = batch
+    config = PerceptronConfig(n=n, mode=mode, shots=64, seed=3)
+    mixed = [weights[k % len(weights)] for k in range(len(inputs))]
+    probs = measure_many(inputs, mixed, config, epoch).tolist()
+    for i, w, p in zip(inputs, mixed, probs):
+        assert p == measure_many([i], w, config, epoch)[0]
+
+
+def test_mixed_weights_across_block_boundaries():
+    # 3 * BLOCK_ROWS + 5 rows: every block carries several weights
+    config = PerceptronConfig(n=4, mode="sampled", shots=100, seed=9)
+    inputs = [(37 * k) % (1 << 16) for k in range(3 * BLOCK_ROWS + 5)]
+    weights = [(626 + 1001 * k) % (1 << 16) for k in range(len(inputs))]
+    probs = measure_many(inputs, weights, config, 2)
+    for w in set(weights[BLOCK_ROWS - 3 : BLOCK_ROWS + 3]):
+        rows = [k for k, wk in enumerate(weights) if wk == w]
+        single = measure_many([inputs[k] for k in rows], w, config, 2)
+        assert probs[rows].tolist() == single.tolist()
+
+
+def test_measure_many_checks_the_weights():
+    config = PerceptronConfig(n=2)
+    with pytest.raises(ValueError, match="got 2 weights for 3 inputs"):
+        measure_many([0, 1, 2], [3, 4], config)
+    with pytest.raises(ValueError, match="got 1 weights for 0 inputs"):
+        measure_many([], [3], config)
+    for weights in ([1, 16, 2], [1, -1, 2], [1, 2, 1 << 70]):
+        with pytest.raises(ValueError, match=r"^weight must be in \[0, 15\] for n=2, got "):
+            measure_many([0, 1, 2], weights, config)
+    with pytest.raises(ValueError, match=r"^weight must be in \[0, 15\] for n=2, got 16$"):
+        measure_many([0, 1, 2], 16, config)
+    with pytest.raises(ValueError, match=r"^input value must be in \[0, 15\] for n=2, got -5$"):
+        measure_many([0, -5, 99], [1, 1, 1], config)

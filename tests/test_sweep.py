@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperc.perceptron import PerceptronConfig, closed_form_probability
+from qperc import sweep as sweep_module
+from qperc.ioutil import format_12g, round_12g
+from qperc.perceptron import PerceptronConfig, closed_form_probability, measure_many
 from qperc.sweep import (
     SweepMatrix,
     _closed_form_column,
@@ -155,3 +157,49 @@ def test_load_sweep_csv_names_file_and_row(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(ValueError, match=match):
         load_sweep_csv(path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_sweep_equals_one_column_call_per_weight(monkeypatch, n, mode):
+    # the reference: one measure_many column per weight, rounded cell by cell
+    config = PerceptronConfig(n=n, mode=mode, shots=500, seed=4)
+    size = 1 << (1 << n)
+    calls = []
+
+    def spy(inputs, weight, config, epoch=0):
+        calls.append(len(inputs))
+        return measure_many(inputs, weight, config, epoch)
+
+    monkeypatch.setattr(sweep_module, "measure_many", spy)
+    sweep = compute_sweep(config)
+    assert calls == [size * size]
+    for w in range(size):
+        column = measure_many(range(size), w, config).tolist()
+        expected = [float(format(p, ".12g")) for p in column]
+        assert sweep.probs[:, w].tobytes() == np.array(expected).tobytes()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1.0, float("nan"), float("inf"), float("-inf"), 5e-324, -2.5e-310]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_EDGE_FLOATS)),
+        max_size=40,
+    )
+)
+def test_format_memo_equals_format_on_every_float(values):
+    array = np.array(values, dtype=np.float64)
+    texts, index = format_12g(array)
+    assert [texts[j] for j in index.tolist()] == [format(p, ".12g") for p in values]
+    rounded = round_12g(array.reshape(-1, 1))
+    assert rounded.shape == (len(values), 1)
+    expected = np.array([float(format(p, ".12g")) for p in values]).reshape(-1, 1)
+    assert rounded.tobytes() == expected.tobytes()
+
+
+def test_format_memo_keeps_signed_zeros_apart():
+    texts, index = format_12g(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    assert [[texts[j] for j in row] for row in index.tolist()] == [["0", "-0"], ["-0", "0"]]
