@@ -43,8 +43,10 @@ inputs and the weights (a one-row n=4 `measure` takes about 75 us on a
 amplitude operations. Sampled mode adds one call of
 `statevector.sample_rates` per block: it hashes each row's key to a
 uniform and reads the row's hit count off one inverse binomial CDF table
-per distinct P in the block, so a block's size bounds the tables and
-uniforms as it bounds the amplitudes.
+per distinct P. The call's blocks share one dict of tables, so each table
+is built once per call, when a row first needs it; a block's size bounds
+the uniforms as it bounds the amplitudes, and the tables are at most one
+per distinct P of the circuit (13 at n=4).
 
 `check_value` is the single range rule for encoded values; the dataset,
 training, rendering and CLI layers all call it.
@@ -245,6 +247,7 @@ def measure_many(
     # The ancilla is the lowest index bit: column 1 holds its |1> amplitudes.
     prepared = _hadamard_layer(n).reshape(m, 2)
     probs = np.empty(len(values))
+    tables = {}
     for start in range(0, len(values), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         chunk = values[rows]
@@ -262,5 +265,5 @@ def measure_many(
             ]
             if epoch:
                 key.append(epoch)
-            probs[rows] = sample_rates(probs[rows], config.shots, key)
+            probs[rows] = sample_rates(probs[rows], config.shots, key, tables)
     return probs

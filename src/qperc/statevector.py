@@ -10,9 +10,11 @@ states, one state per row, with the same arithmetic per row as
 `run_circuit` applies to a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
-no arrays: a gate's peak memory is the state plus at most one temporary
-of the same size (X copies the whole state once, H, MCZ and MCX half of
-it or less).
+no arrays. Every gate walks the state in tiles of 2^14 amplitudes (256 KB)
+and finishes a tile before it reads the next, so the state streams through
+memory at most once per gate, and a gate's scratch memory is bounded by
+the tile, whatever the register size: one tile for X, MCZ and MCX, two for
+H, against 256 MB of state at the cap.
 
 Registers are capped at 24 qubits; a dense complex128 vector at that size
 is 256 MB, which is as far as this simulator is meant to go.
@@ -41,6 +43,10 @@ MAX_QUBITS = 24
 MAX_SHOTS = 1 << 32
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# Amplitudes per tile in _apply_inplace, a power of two: 2^14 complex128
+# amplitudes are 256 KB, which stays in L2 while a gate works on them.
+_TILE = 1 << 14
 
 # SplitMix64's increment and finaliser multipliers (Steele, Lea and Flood,
 # "Fast splittable pseudorandom number generators", OOPSLA 2014).
@@ -182,41 +188,75 @@ def _check_op(op: GateOp, num_qubits: int) -> None:
 def _apply_inplace(amps: np.ndarray, num_qubits: int, op: GateOp) -> None:
     """Apply one gate along the last axis of a C-contiguous state or block.
 
-    Each kernel works on a reshaped view of `amps`: H and X on a view whose
-    axis -2 is the target's bit, MCZ and MCX on a view with one size-2 axis
-    per qubit (qubit 0 first), where fixing the controls' axes at 1 selects
-    the states the gate acts on.
+    Every gate walks `amps.reshape(-1, 2, s)`, whose axis 1 is the bit of
+    the target (of the last qubit for MCZ, which has none), in tiles of at
+    most _TILE amplitudes: a run of whole (zero, one) pairs when a pair
+    fits in a tile, else a zero-half chunk and its matching one-half
+    chunk. The gate is done on one tile before the next is read, and no
+    temporary outlives its tile: X's reversed copy is a tile, MCZ's and
+    MCX's hit copies are at most a tile, and H's difference is half a
+    tile beside the three half-tile buffers numpy copies its in-place add
+    through when a tile holds several pairs. A block no larger than a tile
+    is one tile, the whole view.
+
+    MCZ and MCX see a tile as a cube with one size-2 axis per qubit whose
+    bit varies inside it (qubit 0 first, after one leading axis). The
+    tile's offset fixes every other qubit, so a tile where such a control
+    is 0 holds no state the gate acts on.
     """
     kind = op.kind
-    lead = amps.shape[:-1]
-    if kind == "X":
-        view = amps.reshape(lead + (1 << op.target, 2, -1))
-        view[...] = view[..., ::-1, :]
-    elif kind == "H":
-        view = amps.reshape(lead + (1 << op.target, 2, -1))
-        zero, one = view[..., 0, :], view[..., 1, :]
-        diff = zero - one
-        zero += one
-        one[...] = diff
-        amps *= _INV_SQRT2
-    elif kind in ("MCZ", "MCX"):
-        cube = amps.reshape(lead + (2,) * num_qubits)
-        index = [slice(None)] * num_qubits
-        for q in op.controls:
-            index[q] = 1
-        hit = cube[(..., *index)]
-        if kind == "MCZ":
-            # A +-1 sign-array multiply, as MCZ is defined: a complex
-            # multiply by 1.0 clears some signed zeros, so the states the
-            # gate leaves alone are multiplied too.
-            flipped = hit * -1.0
-            amps *= 1.0
-            hit[...] = flipped
-        else:
-            index[op.target] = slice(None, None, -1)
-            hit[...] = cube[(..., *index)]
-    else:
+    if kind not in ("H", "X", "MCZ", "MCX"):
         raise ValueError(f"unknown gate kind {kind!r}")
+    n = num_qubits
+    target = n - 1 if op.target is None else op.target
+    s = 1 << (n - 1 - target)
+    view = amps.reshape(-1, 2, s)
+    pairs = max(1, _TILE // (2 * s))
+    width = min(s, _TILE // 2)
+    if kind in ("MCZ", "MCX"):
+        # The cube's axes: rows, then the target when a tile is two
+        # chunks, then qubits `low` to n-1, whose bits vary in one chunk.
+        split = width < s
+        low = n + 1 - (width if split else min(1 << n, _TILE)).bit_length()
+        index = [slice(None)] * (1 + split + n - low)
+        fixed = 0
+        for q in op.controls:
+            if q < low:
+                fixed |= 1 << (n - 1 - q)
+            else:
+                index[1 + split + q - low] = 1
+        shape = (-1,) + (2,) * (len(index) - 1)
+        hit = tuple(index)
+        if kind == "MCX":
+            index[1 if split else 1 + target - low] = slice(None, None, -1)
+            source = tuple(index)
+    for p in range(0, len(view), pairs):
+        for c in range(0, s, width):
+            tile = view[p : p + pairs, :, c : c + width]
+            if kind == "H":
+                zero, one = tile[:, 0], tile[:, 1]
+                diff = zero - one
+                zero += one
+                one[...] = diff
+                tile *= _INV_SQRT2
+            elif kind == "X":
+                tile[...] = tile[:, ::-1]
+            elif ((p * 2 * s + c) & fixed) != fixed:
+                if kind == "MCZ":
+                    tile *= 1.0
+            elif kind == "MCZ":
+                # A +-1 sign-array multiply, as MCZ is defined: a complex
+                # multiply by 1.0 clears some signed zeros, so the states
+                # the gate leaves alone are multiplied too.
+                cube = tile.reshape(shape)
+                flipped = cube[hit] * -1.0
+                tile *= 1.0
+                cube[hit] = flipped
+                # up to a tile, freed before the next tile's is made
+                del flipped
+            else:
+                cube = tile.reshape(shape)
+                cube[hit] = cube[source]
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
@@ -337,23 +377,32 @@ def _binomial_cdf(shots: int, p: float) -> tuple[int, np.ndarray]:
 
 
 def sample_rates(
-    probs: np.ndarray, shots: int, key: Sequence[int | np.ndarray]
+    probs: np.ndarray,
+    shots: int,
+    key: Sequence[int | np.ndarray],
+    tables: dict[float, tuple[int, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """The hit rate of one Binomial(shots, probs[r]) draw for every row r.
 
     Row r's draw is the inverse binomial CDF of one uniform hashed from its
     key words (see _uniforms), so it depends on its key and P only, never
-    on the other rows of the call. One CDF table is built per distinct P;
-    a P <= 0 reads 0 and a P >= 1 reads 1 (summed squares can overshoot 1
-    by an ulp).
+    on the other rows of the call. One CDF table is built per distinct P,
+    when a row first needs it, and kept in `tables` (P -> _binomial_cdf's
+    table for these shots), so calls that pass one dict with the same
+    shots build each table once. A P <= 0 reads 0 and a P >= 1 reads 1
+    (summed squares can overshoot 1 by an ulp).
     """
     check_shots(shots)
+    if tables is None:
+        tables = {}
     u = _uniforms(key, len(probs))
     counts = np.where(probs >= 1.0, float(shots), 0.0)
     distinct, inverse = np.unique(probs, return_inverse=True)
     for j, p in enumerate(distinct.tolist()):
         if 0.0 < p < 1.0:
             rows = inverse == j
-            lo, cdf = _binomial_cdf(shots, p)
+            if p not in tables:
+                tables[p] = _binomial_cdf(shots, p)
+            lo, cdf = tables[p]
             counts[rows] = lo + np.searchsorted(cdf, u[rows], side="right")
     return counts / shots

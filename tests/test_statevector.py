@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from qperc import statevector
 from qperc.statevector import (
     MAX_SHOTS,
     Circuit,
@@ -23,9 +24,14 @@ from qperc.statevector import (
     sample_rates,
     x,
 )
-from qperc.statevector import _binomial_cdf, _mix64, _uniforms
+from qperc.statevector import _apply_inplace, _binomial_cdf, _mix64, _uniforms
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# One tile of complex128 amplitudes, and room for the Python objects a
+# gate makes.
+TILE_BYTES = statevector._TILE * 16
+SLACK_BYTES = 2**14
 
 
 def random_state(num_qubits, seed):
@@ -391,8 +397,37 @@ def test_kernels_need_at_most_one_state_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The returned copy of the state plus one same-size temporary.
-    assert peak <= 3 * state.amplitudes.nbytes
+    # The returned copy of the state plus the scratch of one gate.
+    assert peak <= state.amplitudes.nbytes + 2 * TILE_BYTES + SLACK_BYTES
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        h(0), h(17), h(8), x(0), x(17),
+        # one qubit, and one control, at either end: the whole tile or
+        # every other amplitude of it is hit
+        mcz([0]), mcz([17]), mcx([0], 17), mcx([17], 0),
+        mcz([1, 9, 16]), mcx([3, 12], 6),
+    ],
+    ids=repr,
+)
+def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op):
+    n = 18
+    amps = random_state(n, seed=2).amplitudes
+    # H's in-place add: when a tile holds several (zero, one) pairs, numpy
+    # cannot rule out overlap between the halves and copies through three
+    # half-tile buffers beside the half-tile difference.
+    tiles = 2 if op.kind == "H" else 1
+    bound = tiles * TILE_BYTES + SLACK_BYTES
+    assert bound < amps.nbytes / 4
+    tracemalloc.start()
+    try:
+        _apply_inplace(amps, n, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def _reference_apply(block, n, op):
@@ -440,14 +475,9 @@ def _gate_lists(draw, n):
     return ops
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_kernels_match_reference_bytes_property(data):
-    n = data.draw(st.integers(1, 10), label="qubits")
-    rows = data.draw(st.integers(1, 4), label="rows")
-    ops = data.draw(_gate_lists(n), label="ops")
+def _assert_matches_reference(n, rows, ops, seed):
     # Entries from a small set, so exact and signed zeros are common.
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rng = np.random.default_rng(seed)
     parts = rng.choice([0.0, -0.0, 0.5, -0.5, 0.3], size=(2, rows, 1 << n))
     block = np.empty((rows, 1 << n), dtype=np.complex128)
     block.real, block.imag = parts
@@ -456,3 +486,40 @@ def test_kernels_match_reference_bytes_property(data):
         expected = _reference_apply(expected, n, op)
     run_circuit_rows(Circuit(n, ops), block)
     assert block.tobytes() == expected.tobytes()
+
+
+def _draw_case(data):
+    n = data.draw(st.integers(1, 10), label="qubits")
+    rows = data.draw(st.integers(1, 4), label="rows")
+    ops = data.draw(_gate_lists(n), label="ops")
+    return n, rows, ops, data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_reference_bytes_property(data):
+    _assert_matches_reference(*_draw_case(data))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_kernels_match_reference_bytes_across_tiles_property(monkeypatch, data):
+    # 16-amplitude tiles: a state of 5 or more qubits, or a block of
+    # several 4-qubit rows, spans many tiles, both runs of whole pairs and
+    # split zero/one chunks, with controls inside a tile and fixed by its
+    # offset.
+    monkeypatch.setattr(statevector, "_TILE", 16)
+    _assert_matches_reference(*_draw_case(data))
+
+
+def test_kernels_match_reference_bytes_at_20_qubits():
+    ops = [
+        h(0), h(19), h(9), x(0), x(19), x(11),
+        mcz([0]), mcz([19]), mcz([2, 9, 16]),
+        mcx([0], 19), mcx([19], 0), mcx([1, 8, 13], 5), mcx([4, 17], 2),
+    ]
+    _assert_matches_reference(20, 1, ops, seed=20)
