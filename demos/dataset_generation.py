@@ -9,19 +9,22 @@ threshold, so the dataset has exactly two positives out of sixteen rows.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from qperc import PerceptronConfig, generate_dataset, load_dataset, save_dataset
 
 OPTIMAL_WEIGHT = 12
 
 dataset = generate_dataset(OPTIMAL_WEIGHT, PerceptronConfig(n=2))
-print(f"generated {len(dataset.examples)} rows against weight {OPTIMAL_WEIGHT}\n")
+print(f"generated {len(dataset.labels)} rows against weight {OPTIMAL_WEIGHT}\n")
 
+# Row k of the label and probability columns is the value k.
 print("value  label  probability")
-for ex in dataset.examples:
-    marker = "  <-- positive" if ex.label else ""
-    print(f"{ex.value:5d}  {ex.label:5d}  {ex.probability:11.6f}{marker}")
+for value, (label, p) in enumerate(zip(dataset.labels, dataset.probabilities)):
+    marker = "  <-- positive" if label else ""
+    print(f"{value:5d}  {label:5d}  {p:11.6f}{marker}")
 
-positives = [ex.value for ex in dataset.examples if ex.label == 1]
+positives = [int(value) for value in np.flatnonzero(dataset.labels == 1)]
 complement = OPTIMAL_WEIGHT ^ 15
 print(f"\npositives: {positives}")
 print(f"that is the weight ({OPTIMAL_WEIGHT}) and its complement ({complement})")
@@ -33,4 +36,4 @@ with tempfile.TemporaryDirectory() as tmp:
     for line in path.read_text().splitlines()[:4]:
         print(f"  {line}")
     reloaded = load_dataset(path)
-    print(f"reloaded {len(reloaded.examples)} rows, provenance mode={reloaded.config.mode!r}")
+    print(f"reloaded {len(reloaded.labels)} rows, provenance mode={reloaded.config.mode!r}")

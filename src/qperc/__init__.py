@@ -10,7 +10,6 @@ labeled dataset generation, bit-flip training, and pattern rendering.
 from .dataset import (
     Dataset,
     DatasetFormatError,
-    LabeledExample,
     generate_dataset,
     label_from_probability,
     load_dataset,
@@ -71,7 +70,6 @@ __all__ = [
     "DatasetFormatError",
     "DEFAULT_SHOTS",
     "GateOp",
-    "LabeledExample",
     "MAX_DATA_QUBITS",
     "MAX_QUBITS",
     "MAX_SWEEP_QUBITS",

@@ -106,8 +106,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     check_value(args.weight, args.n, "--weight")
     dataset = generate_dataset(args.weight, config)
     save_dataset(dataset, args.out)
-    ones = sum(ex.label for ex in dataset.examples)
-    print(f"wrote {len(dataset.examples)} rows ({ones} labeled 1) to {args.out}")
+    ones = int(dataset.labels.sum())
+    print(f"wrote {len(dataset.labels)} rows ({ones} labeled 1) to {args.out}")
     return 0
 
 

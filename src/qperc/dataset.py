@@ -3,7 +3,8 @@
 For n data qubits every value in [0, 2^(2^n) - 1] is evaluated against the
 optimal weight and labeled 1 when the ancilla probability reaches 0.5 and 0
 otherwise (ties go to 1). The measured probability is stored next to each
-label so a loaded file can be audited without re-running the circuits.
+label so a loaded file can be audited without re-running the circuits. In
+memory the labels and probabilities are two columns whose row k is value k.
 
 On disk a dataset is a CSV file with header `value,label,probability` plus
 a JSON sidecar at `<path>.meta.json` carrying the optimal weight and the
@@ -27,37 +28,39 @@ CSV_HEADER = "value,label,probability"
 
 _CONFIG_KEYS = tuple(f.name for f in fields(PerceptronConfig))
 
-
-@dataclass(frozen=True)
-class LabeledExample:
-    value: int
-    label: int
-    probability: float
+_THRESHOLD = 0.5
 
 
 @dataclass
 class Dataset:
-    """All 2^(2^n) labeled values plus the settings that measured them."""
+    """All 2^(2^n) labeled values, row k being value k, and how they were measured."""
 
     config: PerceptronConfig
     optimal_weight: int
-    examples: list[LabeledExample]
+    labels: np.ndarray
+    probabilities: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.labels = np.asarray(self.labels)
+        self.probabilities = np.asarray(self.probabilities)
+        shapes = (self.labels.shape, self.probabilities.shape)
+        if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
+            raise ValueError(f"expected two 1-D columns of one length, got {shapes}")
+        if not np.all((self.labels == 0) | (self.labels == 1)):
+            raise ValueError("labels must be 0 or 1")
 
 
 def label_from_probability(probability: float) -> int:
     """1 when the probability reaches the 0.5 threshold, else 0."""
-    return 1 if probability >= 0.5 else 0
+    return 1 if probability >= _THRESHOLD else 0
 
 
 def generate_dataset(optimal_weight: int, config: PerceptronConfig) -> Dataset:
     """Label every value in ascending order against `optimal_weight`."""
     m = check_value(optimal_weight, config.n, "optimal weight")
-    probs = measure_many(range(1 << m), optimal_weight, config).tolist()
-    examples = [
-        LabeledExample(value, label_from_probability(p), p)
-        for value, p in enumerate(probs)
-    ]
-    return Dataset(config, optimal_weight, examples)
+    probabilities = measure_many(np.arange(1 << m), optimal_weight, config)
+    labels = (probabilities >= _THRESHOLD).astype(np.int64)
+    return Dataset(config, optimal_weight, labels, probabilities)
 
 
 def _meta_path(path: str | Path) -> Path:
@@ -66,12 +69,12 @@ def _meta_path(path: str | Path) -> Path:
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the CSV rows and the JSON sidecar, both atomically."""
-    examples = dataset.examples
-    texts, index = format_12g(np.array([ex.probability for ex in examples]))
-    lines = [CSV_HEADER]
-    for ex, j in zip(examples, index.tolist()):
-        lines.append(f"{ex.value},{ex.label},{texts[j]}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    texts, index = format_12g(dataset.probabilities)
+    # Row k is str(k) plus one ",label,P" suffix per (label, distinct P).
+    suffixes = [f",{label},{text}" for text in texts for label in (0, 1)]
+    keys = (2 * index + (dataset.labels == 1)).tolist()
+    rows = [f"{value}{suffixes[key]}" for value, key in enumerate(keys)]
+    atomic_write_text(path, "\n".join([CSV_HEADER, *rows]) + "\n")
     meta = asdict(dataset.config)
     meta["optimal_weight"] = dataset.optimal_weight
     atomic_write_text(
@@ -88,6 +91,8 @@ def _parse_meta(path: Path) -> tuple[PerceptronConfig, int]:
         raw = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DatasetFormatError(f"missing dataset sidecar {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 ({exc})") from None
     try:
         meta = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -127,8 +132,12 @@ def load_dataset(path: str | Path) -> Dataset:
     m = 1 << config.n
     expected_rows = 1 << m
 
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    data = path.read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(f"{path}: line {lineno}: not UTF-8 ({exc})") from None
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
     if lines[0] != CSV_HEADER:
@@ -137,12 +146,14 @@ def load_dataset(path: str | Path) -> Dataset:
         )
     body = lines[1:]
     if len(body) != expected_rows:
+        # the line after the last row, or the first row too many
+        lineno = min(len(body), expected_rows) + 2
         raise DatasetFormatError(
-            f"{path}: expected {expected_rows} rows for n={config.n}, "
-            f"got {len(body)}"
+            f"{path}: line {lineno}: expected {expected_rows} rows for "
+            f"n={config.n}, got {len(body)}"
         )
 
-    examples = []
+    labels, probabilities = [], []
     for row_index, line in enumerate(body):
         lineno = row_index + 2
         fields = line.split(",")
@@ -180,6 +191,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"{path}: line {lineno}: field 'label': {label} disagrees "
                 f"with probability {probability}"
             )
-        examples.append(LabeledExample(row_index, label, probability))
+        labels.append(label)
+        probabilities.append(probability)
 
-    return Dataset(config, optimal_weight, examples)
+    return Dataset(config, optimal_weight, np.array(labels), np.array(probabilities))

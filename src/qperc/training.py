@@ -196,8 +196,8 @@ def train(
     if converged(weight):
         return TrainResult(True, weight, 0, trace)
 
-    examples = dataset.examples
-    values = [ex.value for ex in examples]
+    labels = dataset.labels.tolist()
+    values = np.arange(len(labels))
     updates = 0
     rows = LOOKAHEAD_ROWS
     for epoch in range(1, config.max_epochs + 1):
@@ -208,17 +208,17 @@ def train(
             chunk = values[start : start + rows]
             probs = measure_many(chunk, weight, measurement, epoch).tolist()
             for index, p1 in enumerate(probs, start):
-                ex = examples[index]
+                label = labels[index]
                 predicted = label_from_probability(p1)
                 before = weight
                 action = "none"
                 flipped: tuple[int, ...] = ()
-                if predicted != ex.label:
+                if predicted != label:
                     if predicted == 0:
-                        candidate_mask = weight ^ ex.value
+                        candidate_mask = weight ^ index
                         attempted = "flip_non_matching"
                     else:
-                        candidate_mask = ~(weight ^ ex.value) & full_mask
+                        candidate_mask = ~(weight ^ index) & full_mask
                         attempted = "flip_matching"
                     candidates = _bit_positions(candidate_mask, m)
                     if candidates:
@@ -229,10 +229,10 @@ def train(
                 on_step(
                     TrainStep(
                         epoch=epoch,
-                        example_value=ex.value,
+                        example_value=index,
                         p1=p1,
                         predicted=predicted,
-                        actual=ex.label,
+                        actual=label,
                         action=action,
                         flipped_positions=flipped,
                         weight_before=before,

@@ -113,19 +113,19 @@ def test_criterion_4_full_dataset_generation(tmp_path):
     elapsed = time.perf_counter() - started
     assert code == 0
     dataset = load_dataset(out)
-    rows_ok = len(dataset.examples) == 65536
+    rows_ok = len(dataset.labels) == len(dataset.probabilities) == 65536
     target_ok = (
-        dataset.examples[626].label == 1
-        and dataset.examples[65535 - 626].label == 1
+        dataset.labels[626] == 1
+        and dataset.labels[65535 - 626] == 1
     )
     threshold_ok = all(
-        ex.label == (1 if ex.probability >= 0.5 else 0)
-        for ex in dataset.examples
+        label == (1 if p >= 0.5 else 0)
+        for label, p in zip(dataset.labels, dataset.probabilities)
     )
     _report(
         "criterion 4: exhaustive n=4 dataset for weight 626 under 60s",
         rows_ok and target_ok and threshold_ok and elapsed < 60.0,
-        f"rows={len(dataset.examples)}, {elapsed:.1f}s",
+        f"rows={len(dataset.labels)}, {elapsed:.1f}s",
     )
 
 

@@ -157,7 +157,7 @@ def test_gen_data_round_trip(tmp_path):
     dataset = load_dataset(out)
     assert dataset.config.n == 2
     assert dataset.optimal_weight == 12
-    assert [ex.value for ex in dataset.examples if ex.label == 1] == [3, 12]
+    assert np.flatnonzero(dataset.labels == 1).tolist() == [3, 12]
 
 
 def test_gen_data_byte_deterministic(tmp_path):
@@ -220,6 +220,29 @@ def test_train_negative_seed_exits_2_naming_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {meta_path}: ")
     assert "seed must be non-negative, got -1" in err
+
+
+def test_train_non_utf8_dataset_exits_2_naming_file_and_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(data)) == 0
+    raw = data.read_bytes()
+    lines = raw.split(b"\n")
+    offset = len(b"\n".join(lines[:3])) + 1  # the first byte of line 4
+    data.write_bytes(raw[:offset] + b"\xff" + raw[offset + 1 :])
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: line 4: not UTF-8 ('utf-8' codec can't decode byte 0xff "
+        f"in position {offset}: invalid start byte)\n"
+    )
+    data.write_bytes(raw)
+    meta_path = tmp_path / "data.csv.meta.json"
+    meta_path.write_bytes(b'{"n": \xff}')
+    assert run_cli("train", "--data", str(data)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {meta_path}: not UTF-8 ('utf-8' codec can't decode byte 0xff "
+        "in position 6: invalid start byte)\n"
+    )
 
 
 def test_train_sampled_measures_with_dataset_seed(tmp_path):

@@ -2,6 +2,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from qperc.dataset import (
     Dataset,
     DatasetFormatError,
-    LabeledExample,
     generate_dataset,
     label_from_probability,
     load_dataset,
     save_dataset,
 )
+from qperc.ioutil import round_12g
 from qperc.perceptron import MODES, PerceptronConfig, measure
 
 
@@ -32,21 +33,23 @@ def test_threshold_tie_goes_to_one():
 
 def test_generate_against_weight_zero():
     dataset = generate_dataset(0, PerceptronConfig(n=2))
-    assert len(dataset.examples) == 16
-    assert dataset.examples[0].label == 1
-    assert dataset.examples[0].probability == pytest.approx(1.0, abs=1e-12)
-    assert dataset.examples[3].label == 0
-    assert dataset.examples[3].probability == pytest.approx(0.0, abs=1e-12)
+    assert len(dataset.labels) == len(dataset.probabilities) == 16
+    assert dataset.labels[0] == 1
+    assert dataset.probabilities[0] == pytest.approx(1.0, abs=1e-12)
+    assert dataset.labels[3] == 0
+    assert dataset.probabilities[3] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_generate_covers_values_in_order(small_dataset):
-    assert [ex.value for ex in small_dataset.examples] == list(range(16))
+    # row k is the value k
+    want = [measure(value, 12, small_dataset.config) for value in range(16)]
+    assert small_dataset.probabilities.tolist() == want
 
 
 def test_generate_labels_follow_threshold(small_dataset):
-    for ex in small_dataset.examples:
-        assert ex.label == label_from_probability(ex.probability)
-    positives = [ex.value for ex in small_dataset.examples if ex.label == 1]
+    for label, p in zip(small_dataset.labels, small_dataset.probabilities):
+        assert label == label_from_probability(p)
+    positives = [int(v) for v in np.flatnonzero(small_dataset.labels == 1)]
     assert positives == [3, 12]
 
 
@@ -64,11 +67,11 @@ def test_round_trip_exact(tmp_path, small_dataset):
     assert loaded.config.mode == small_dataset.config.mode
     assert loaded.config.shots == small_dataset.config.shots
     assert loaded.config.seed == small_dataset.config.seed
-    assert len(loaded.examples) == len(small_dataset.examples)
-    for got, want in zip(loaded.examples, small_dataset.examples):
-        assert got.value == want.value
-        assert got.label == want.label
-        assert got.probability == pytest.approx(want.probability, abs=1e-12)
+    assert len(loaded.labels) == len(small_dataset.labels)
+    assert loaded.labels.tolist() == small_dataset.labels.tolist()
+    assert loaded.probabilities == pytest.approx(
+        small_dataset.probabilities, abs=1e-12
+    )
 
 
 def test_round_trip_sampled(tmp_path):
@@ -80,8 +83,7 @@ def test_round_trip_sampled(tmp_path):
     assert loaded.config.mode == "sampled"
     assert loaded.config.shots == 8192
     assert loaded.config.seed == 17
-    for got, want in zip(loaded.examples, dataset.examples):
-        assert got.probability == pytest.approx(want.probability, abs=1e-12)
+    assert loaded.probabilities == pytest.approx(dataset.probabilities, abs=1e-12)
 
 
 def test_sampled_dataset_is_reproduced_by_its_own_config():
@@ -90,8 +92,8 @@ def test_sampled_dataset_is_reproduced_by_its_own_config():
     config = PerceptronConfig(n=3, mode="sampled", shots=16, seed=5)
     dataset = generate_dataset(77, config)
     assert dataset.config == config
-    for ex in dataset.examples:
-        assert measure(ex.value, dataset.optimal_weight, dataset.config) == ex.probability
+    for value, p in enumerate(dataset.probabilities):
+        assert measure(value, dataset.optimal_weight, dataset.config) == p
 
 
 @st.composite
@@ -105,11 +107,9 @@ def _datasets(draw):
     )
     rows = 1 << (1 << n)
     hits = draw(st.lists(st.integers(0, config.shots), min_size=rows, max_size=rows))
-    examples = [
-        LabeledExample(value, label_from_probability(h / config.shots), h / config.shots)
-        for value, h in enumerate(hits)
-    ]
-    return Dataset(config, draw(st.integers(0, rows - 1)), examples)
+    probabilities = np.array(hits) / config.shots
+    labels = [label_from_probability(p) for p in probabilities]
+    return Dataset(config, draw(st.integers(0, rows - 1)), labels, probabilities)
 
 
 @settings(max_examples=50, deadline=None)
@@ -121,10 +121,24 @@ def test_save_load_round_trip_property(dataset):
         loaded = load_dataset(path)
     assert loaded.config == dataset.config
     assert loaded.optimal_weight == dataset.optimal_weight
-    assert loaded.examples == [
-        LabeledExample(ex.value, ex.label, float(format(ex.probability, ".12g")))
-        for ex in dataset.examples
-    ]
+    assert loaded.labels.tolist() == dataset.labels.tolist()
+    assert loaded.probabilities.tobytes() == round_12g(dataset.probabilities).tobytes()
+
+
+@given(st.integers(0, 8), st.integers(0, 8))
+def test_dataset_columns_must_have_one_length(rows, other):
+    labels, probabilities = np.ones(rows, dtype=int), np.ones(other)
+    if rows == other:
+        assert len(Dataset(PerceptronConfig(n=1), 0, labels, probabilities).labels) == rows
+    else:
+        with pytest.raises(ValueError, match="one length"):
+            Dataset(PerceptronConfig(n=1), 0, labels, probabilities)
+
+
+def test_dataset_labels_must_be_0_or_1():
+    # save_dataset picks each row's text by its label
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        Dataset(PerceptronConfig(n=1), 0, [0, 2, 1, 0], np.zeros(4))
 
 
 def test_save_is_byte_deterministic(tmp_path, small_dataset):
@@ -151,8 +165,8 @@ def _valid_rows():
     rows = ["value,label,probability"]
     config = PerceptronConfig(n=2)
     dataset = generate_dataset(0, config)
-    for ex in dataset.examples:
-        rows.append(f"{ex.value},{ex.label},{format(ex.probability, '.12g')}")
+    for value, (label, p) in enumerate(zip(dataset.labels, dataset.probabilities)):
+        rows.append(f"{value},{label},{format(p, '.12g')}")
     return rows
 
 
@@ -234,9 +248,14 @@ def test_load_rejects_out_of_order_values(tmp_path):
 
 
 def test_load_rejects_wrong_row_count(tmp_path):
+    # too few: the line after the last one; too many: the first extra line
     rows = _valid_rows()[:-1]
     path = _write_dataset(tmp_path, rows)
-    with pytest.raises(DatasetFormatError, match="rows"):
+    with pytest.raises(DatasetFormatError, match="line 17: expected 16 rows"):
+        load_dataset(path)
+    rows = _valid_rows() + ["16,0,0", "17,0,0"]
+    path = _write_dataset(tmp_path, rows)
+    with pytest.raises(DatasetFormatError, match="line 18: expected 16 rows.*got 18"):
         load_dataset(path)
 
 

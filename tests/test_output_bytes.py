@@ -3,10 +3,12 @@
 No speed-up may change a byte of an exact-mode file: evaluating in another
 order or summing differently could move the 12th significant digit. The
 exact digests were taken from the per-pair circuit loop that measure_many
-replaced. The sampled digest pins the counter-based sampler: its hash of
-(seed, input, weight) and its inverse binomial CDF tables. The two trace
-digests pin training: one streamed strict n=4 epoch, and 20 epochs on a
-sampled n=3 dataset, whose draws are keyed by the epoch too.
+replaced. The sampled sweep digest pins the counter-based sampler: its hash
+of (seed, input, weight) and its inverse binomial CDF tables. The sampled
+dataset digest pins the label column and the rows save_dataset builds from
+one suffix per (label, distinct P). The two trace digests pin training: one
+streamed strict n=4 epoch, and 20 epochs on a sampled n=3 dataset, whose
+draws are keyed by the epoch too.
 """
 
 import hashlib
@@ -15,6 +17,9 @@ from qperc.cli import main
 
 GEN_DATA_N4_W626_SHA256 = (
     "c8c02a9a5128c7ebd350c328b6b5b53d1178b8de0e5592d661f175b2d4873636"
+)
+GEN_DATA_N3_W23_SAMPLED_SEED_7_SHA256 = (
+    "ee47143a120d03b8bded4749666ae6f350aea320271b1a71dd7785aa28e58c3c"
 )
 SWEEP_N3_CSV_SHA256 = (
     "d91ea5e37132c28d6fed48d9cddbd7e4ffc1bede87de3b186f5ab5ce2d178fd0"
@@ -38,6 +43,13 @@ def test_gen_data_n4_weight_626_bytes(tmp_path):
     out = tmp_path / "data.csv"
     assert main(["gen-data", "--n", "4", "--weight", "626", "--out", str(out)]) == 0
     assert _sha256(out) == GEN_DATA_N4_W626_SHA256
+
+
+def test_gen_data_n3_weight_23_sampled_bytes(tmp_path):
+    out = tmp_path / "data.csv"
+    args = ["gen-data", "--n", "3", "--weight", "23", "--mode", "sampled"]
+    assert main(args + ["--shots", "1024", "--seed", "7", "--out", str(out)]) == 0
+    assert _sha256(out) == GEN_DATA_N3_W23_SAMPLED_SEED_7_SHA256
 
 
 def test_sweep_n3_exact_csv_bytes(tmp_path):

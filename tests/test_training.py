@@ -397,15 +397,15 @@ def reference_train(dataset, optimal_weight, config):
         return TrainResult(True, weight, 0, trace)
     updates = 0
     for epoch in range(1, config.max_epochs + 1):
-        for ex in dataset.examples:
-            p1 = float(measure_many((ex.value,), weight, dataset.config, epoch)[0])
+        for value, label in enumerate(dataset.labels.tolist()):
+            p1 = float(measure_many((value,), weight, dataset.config, epoch)[0])
             predicted = 1 if p1 >= 0.5 else 0
             before, action, flipped = weight, "none", ()
-            if predicted != ex.label:
+            if predicted != label:
                 if predicted == 0:
-                    mask, attempted = weight ^ ex.value, "flip_non_matching"
+                    mask, attempted = weight ^ value, "flip_non_matching"
                 else:
-                    mask, attempted = ~(weight ^ ex.value) & full_mask, "flip_matching"
+                    mask, attempted = ~(weight ^ value) & full_mask, "flip_matching"
                 candidates = [p for p in range(m) if mask >> p & 1]
                 if candidates:
                     action = attempted
@@ -414,7 +414,7 @@ def reference_train(dataset, optimal_weight, config):
                     )
             trace.append(
                 TrainStep(
-                    epoch, ex.value, p1, predicted, ex.label, action, flipped,
+                    epoch, value, p1, predicted, label, action, flipped,
                     before, weight,
                 )
             )
@@ -451,7 +451,9 @@ def test_train_equals_reference_across_look_ahead_blocks(monkeypatch):
     # run never reaches: the second epoch is one look-ahead chunk of 8,192
     # rows, which measure_many splits into BLOCK_ROWS blocks.
     full = generate_dataset(626, PerceptronConfig(n=4))
-    dataset = Dataset(full.config, 626, full.examples[:8192])
+    dataset = Dataset(
+        full.config, 626, full.labels[:8192], full.probabilities[:8192]
+    )
     config = make_config(3, max_epochs=2, convergence="strict")
     chunks = []
     measure_many = training.measure_many
