@@ -38,7 +38,6 @@ from .statevector import (
     new_zero_state,
     prob_qubit_one,
     run_circuit,
-    run_circuit_rows,
     sample_qubit,
     x,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "render_ascii",
     "render_pgm",
     "run_circuit",
-    "run_circuit_rows",
     "sample_qubit",
     "save_dataset",
     "save_sweep",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_12g
+from .ioutil import atomic_write_text, format_12g, read_lines
 from .perceptron import MODES, PerceptronConfig, check_value, measure_many
 
 CSV_HEADER = "value,label,probability"
@@ -132,12 +132,7 @@ def load_dataset(path: str | Path) -> Dataset:
     m = 1 << config.n
     expected_rows = 1 << m
 
-    data = path.read_bytes()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DatasetFormatError(f"{path}: line {lineno}: not UTF-8 ({exc})") from None
+    lines = read_lines(path, DatasetFormatError)
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
     if lines[0] != CSV_HEADER:

@@ -1,5 +1,6 @@
 """Atomic file writes (temp file in the destination directory, then
-rename) and the 12-significant-digit text that files store probabilities in.
+rename), UTF-8 reads whose errors name the line, and the
+12-significant-digit text that files store probabilities in.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_lines(path: str | Path, error: type[ValueError] = ValueError) -> list[str]:
+    """The file's lines; a byte that is not UTF-8 raises `error` naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {lineno}: not UTF-8 ({exc})") from None
 
 
 def format_12g(values: np.ndarray) -> tuple[list[str], np.ndarray]:

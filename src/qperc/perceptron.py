@@ -29,24 +29,28 @@ is exact there. The input's and the weight's sign rows multiply to the
 sign row of input ^ weight exactly, so each row is the cached
 Hadamard-layer state (computed once per n by the gate kernels) times that
 one sign row, and every row may carry its own weight. What is left of the
-circuit is the fixed readout: the Hadamard and X layers and the MCX, 2n+1
-gates in one `Circuit`, run over blocks of up to BLOCK_ROWS rows, so each
-gate is one numpy call per block rather than one per row.
+circuit is the fixed readout: the Hadamard and X layers and the MCX. The
+ancilla reads 1 only where the MCX copied data |1...1>, which the X layer
+moved there from data |0...0>, so P is the square of one amplitude: data
+|0...0> after the readout's Hadamard layer. `measure_many` computes only
+that amplitude's light cone, n halvings of each row (qubit 0 first, the
+H kernel's add then scale), in float64: the gate path's imaginary parts
+are +-0 and its other ancilla-1 amplitudes exact zeros. It runs no gate
+and builds no `Circuit`.
 
-P is then the summed squared ancilla-1 amplitudes of each row. Each row's
-P equals, bit for bit, the P of its full gate-by-gate circuit (74 gates
-per input on average against weight 626 at n=4), so exact-mode outputs do
-not depend on how inputs are batched. The per-call cost is one 2n+1-gate
-list built and validated, and one vectorised range check each for the
-inputs and the weights (a one-row n=4 `measure` takes about 75 us on a
-2-core Xeon); the per-row cost is one sign row and about 2m * (2n + 2)
-amplitude operations. Sampled mode adds one call of
-`statevector.sample_rates` per block: it hashes each row's key to a
-uniform and reads the row's hit count off one inverse binomial CDF table
-per distinct P. The call's blocks share one dict of tables, so each table
-is built once per call, when a row first needs it; a block's size bounds
-the uniforms as it bounds the amplitudes, and the tables are at most one
-per distinct P of the circuit (13 at n=4).
+Each row's P equals, bit for bit, the P of its full gate-by-gate circuit
+(74 gates per input on average against weight 626 at n=4), so exact-mode
+outputs do not depend on how inputs are batched. The per-call cost is one
+vectorised range check each for the inputs and the weights (a one-row n=4
+`measure` takes about 50 us on a 2-core Xeon); the per-row cost is one
+sign row and about 2m float operations, in blocks of up to BLOCK_ROWS
+rows, so each step is one numpy call per block. Sampled mode adds one
+call of `statevector.sample_rates` per block: it hashes each row's key to
+a uniform and reads the row's hit count off one inverse binomial CDF
+table per distinct P. The call's blocks share one dict of tables, so each
+table is built once per call, when a row first needs it; a block's size
+bounds the uniforms as it bounds the amplitudes, and the tables are at most
+one per distinct P of the circuit (13 at n=4).
 
 `check_value` is the single range rule for encoded values; the dataset,
 training, rendering and CLI layers all call it.
@@ -61,6 +65,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .statevector import (
+    _INV_SQRT2,
     Circuit,
     GateOp,
     apply_gate,
@@ -69,7 +74,6 @@ from .statevector import (
     mcx,
     mcz,
     new_zero_state,
-    run_circuit_rows,
     sample_rates,
     x,
 )
@@ -80,8 +84,8 @@ MODES = ("exact", "sampled")
 
 DEFAULT_SHOTS = 8192
 
-# Rows per block in measure_many: a 1024 x 32 complex block at n=4 is
-# 512 KB, which stays in cache, and memory stays flat however many inputs
+# Rows per block in measure_many: a 1024 x 16 float64 block at n=4 is
+# 128 KB, which stays in cache, and memory stays flat however many inputs
 # are evaluated.
 BLOCK_ROWS = 1024
 
@@ -137,11 +141,6 @@ def _sign_flips(value: int, n: int) -> list[GateOp]:
     return ops
 
 
-def _unprep_layers(n: int) -> list[GateOp]:
-    """The Hadamard layer then the X layer, which end weight unpreparation."""
-    return [h(q) for q in range(n)] + [x(q) for q in range(n)]
-
-
 def assemble_perceptron_circuit(input_value: int, weight: int, n: int) -> Circuit:
     """Full evaluation circuit on n data qubits plus the ancilla (qubit n).
 
@@ -154,7 +153,8 @@ def assemble_perceptron_circuit(input_value: int, weight: int, n: int) -> Circui
         [h(q) for q in range(n)]
         + _sign_flips(input_value, n)
         + _sign_flips(weight, n)
-        + _unprep_layers(n)
+        + [h(q) for q in range(n)]
+        + [x(q) for q in range(n)]
         + [mcx(range(n), n)]
     )
     return Circuit(n + 1, ops)
@@ -242,21 +242,23 @@ def measure_many(
             raise ValueError(
                 f"got {len(weights)} weights for {len(values)} inputs"
             )
-    circuit = Circuit(n + 1, _unprep_layers(n) + [mcx(range(n), n)])
     m = 1 << n
-    # The ancilla is the lowest index bit: column 1 holds its |1> amplitudes.
-    prepared = _hadamard_layer(n).reshape(m, 2)
+    # The ancilla is the lowest index bit: column 0 holds the data
+    # amplitudes, whose imaginary parts are zero.
+    prepared = _hadamard_layer(n).reshape(m, 2)[:, 0].real
     probs = np.empty(len(values))
     tables = {}
     for start in range(0, len(values), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         chunk = values[rows]
         chunk_weights = weights[rows] if weights.ndim else weights
-        block = prepared * _sign_rows(chunk ^ chunk_weights, m)[:, :, None]
-        block = block.reshape(len(chunk), 2 * m)
-        run_circuit_rows(circuit, block)
-        ones = block.reshape(len(chunk), m, 2)[:, :, 1]
-        probs[rows] = np.sum(ones.real**2 + ones.imag**2, axis=1)
+        v = prepared * _sign_rows(chunk ^ chunk_weights, m)
+        # The readout's light cone: the H layer's zero halves, qubit 0
+        # first, with the H kernel's add and then scale.
+        for _ in range(n):
+            v = v.reshape(len(chunk), 2, -1)
+            v = (v[:, 0, :] + v[:, 1, :]) * _INV_SQRT2
+        probs[rows] = v[:, 0] ** 2
         if config.mode == "sampled":
             key = [
                 config.seed,

@@ -5,9 +5,8 @@ the basis index, so an n-qubit register stores |b0 b1 ... b_{n-1}> at index
 b0 * 2^(n-1) + b1 * 2^(n-2) + ... + b_{n-1}. The gate set is H, X, MCZ
 (multi-controlled Z, symmetric in its qubits) and MCX (multi-controlled X).
 All four are self-inverse and norm-preserving. Every gate kernel acts on
-the last axis, so `run_circuit_rows` runs one circuit over a block of
-states, one state per row, with the same arithmetic per row as
-`run_circuit` applies to a single state.
+the last axis, so on a block of states, one per row, each row gets the
+arithmetic `run_circuit` gives a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
 no arrays. Every gate walks the state in tiles of 2^14 amplitudes (256 KB)
@@ -267,24 +266,6 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     return StateVector(state.num_qubits, amps)
 
 
-def run_circuit_rows(circuit: Circuit, amps: np.ndarray) -> None:
-    """Apply every gate of `circuit`, in order, to each row of `amps` in place.
-
-    `amps` is a C-contiguous complex128 block of shape (rows, 2^num_qubits),
-    one state per row. Every row gets exactly the arithmetic it would get
-    on its own, so a row's amplitudes do not depend on the rows beside it.
-    """
-    n = circuit.num_qubits
-    if amps.ndim != 2 or amps.shape[1] != 1 << n:
-        raise ValueError(
-            f"circuit is on {n} qubits but the block has shape {amps.shape}"
-        )
-    if amps.dtype != np.complex128 or not amps.flags.c_contiguous:
-        raise ValueError("amps must be a C-contiguous complex128 block")
-    for op in circuit.ops:
-        _apply_inplace(amps, n, op)
-
-
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply every gate of `circuit` to `state`, in order."""
     if circuit.num_qubits != state.num_qubits:
@@ -293,7 +274,8 @@ def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
             f"but the state has {state.num_qubits}"
         )
     amps = state.amplitudes.copy()
-    run_circuit_rows(circuit, amps.reshape(1, -1))
+    for op in circuit.ops:
+        _apply_inplace(amps, circuit.num_qubits, op)
     return StateVector(circuit.num_qubits, amps)
 
 

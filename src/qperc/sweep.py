@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_12g, round_12g
+from .ioutil import atomic_write_text, format_12g, read_lines, round_12g
 from .perceptron import (
     PerceptronConfig,
     check_value,
@@ -115,7 +115,7 @@ def load_sweep_csv(path: str | Path) -> np.ndarray:
 
     Every cell must be a probability in [0, 1].
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith(","):
         raise ValueError(f"{path}: missing sweep header row")
     size = len(lines[0].split(",")) - 1

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Iterator, get_type_hints
 import numpy as np
 
 from .dataset import Dataset, label_from_probability
-from .ioutil import atomic_writer
+from .ioutil import atomic_writer, read_lines
 from .perceptron import check_value, measure_many
 
 ACTIONS = ("none", "flip_non_matching", "flip_matching")
@@ -307,7 +307,7 @@ def _field_error(name: str, value: object) -> str | None:
 def load_trace(path: str | Path) -> list[TrainStep]:
     """Read save_trace output; a malformed record raises ValueError naming its line."""
     steps = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
         try:

@@ -185,6 +185,19 @@ def test_load_rejects_missing_header(tmp_path):
         load_dataset(path)
 
 
+def test_load_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = _write_dataset(tmp_path, _valid_rows())
+    raw = path.read_bytes()
+    offset = raw.index(b"\n3,") + 1  # the first byte of line 5
+    path.write_bytes(raw[:offset] + b"\xff" + raw[offset + 1 :])
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == (
+        f"{path}: line 5: not UTF-8 ('utf-8' codec can't decode byte 0xff "
+        f"in position {offset}: invalid start byte)"
+    )
+
+
 def test_load_rejects_wrong_field_count(tmp_path):
     rows = _valid_rows()
     rows[5] = "4,0"

@@ -19,7 +19,6 @@ from qperc.statevector import (
     new_zero_state,
     prob_qubit_one,
     run_circuit,
-    run_circuit_rows,
     sample_qubit,
     sample_rates,
     x,
@@ -146,31 +145,6 @@ def test_apply_gate_rejects_out_of_range_qubit():
 def test_run_circuit_register_size_mismatch():
     with pytest.raises(ValueError):
         run_circuit(Circuit(3, [h(0)]), new_zero_state(2))
-
-
-def test_run_circuit_rows_matches_run_circuit_row_by_row():
-    rng = np.random.default_rng(3)
-    circuit = Circuit(4, [random_gate(4, rng) for _ in range(60)])
-    states = [random_state(4, seed=s) for s in range(5)]
-    for rows in (1, 5):
-        block = np.stack([s.amplitudes for s in states[:rows]])
-        run_circuit_rows(circuit, block)
-        for row, state in zip(block, states):
-            assert np.array_equal(row, run_circuit(circuit, state).amplitudes)
-
-
-@pytest.mark.parametrize(
-    "block",
-    [
-        np.zeros(8, dtype=np.complex128),
-        np.zeros((2, 4), dtype=np.complex128),
-        np.zeros((2, 8)),
-        np.zeros((8, 2), dtype=np.complex128).T,
-    ],
-)
-def test_run_circuit_rows_rejects_bad_blocks(block):
-    with pytest.raises(ValueError):
-        run_circuit_rows(Circuit(3, [h(0)]), block)
 
 
 def test_apply_gate_leaves_input_untouched():
@@ -484,7 +458,8 @@ def _assert_matches_reference(n, rows, ops, seed):
     expected = block.copy()
     for op in ops:
         expected = _reference_apply(expected, n, op)
-    run_circuit_rows(Circuit(n, ops), block)
+    for op in ops:
+        _apply_inplace(block, n, op)
     assert block.tobytes() == expected.tobytes()
 
 

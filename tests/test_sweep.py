@@ -159,6 +159,18 @@ def test_load_sweep_csv_names_file_and_row(tmp_path, text, match):
         load_sweep_csv(path)
 
 
+def test_load_sweep_csv_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b",0,1\n0,1,0.5\n1,0.5,\xff\n")
+    with pytest.raises(ValueError) as exc:
+        load_sweep_csv(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (
+        f"{path}: line 3: not UTF-8 ('utf-8' codec can't decode byte 0xff "
+        "in position 19: invalid start byte)"
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_sweep_equals_one_column_call_per_weight(monkeypatch, n, mode):

@@ -326,6 +326,21 @@ def test_load_trace_rejects_wrong_fields_naming_line(tmp_path, dataset12, edit, 
         assert f"line 2: field {field!r}" in str(exc.value)
 
 
+def test_load_trace_names_the_line_of_a_non_utf8_byte(tmp_path, dataset12):
+    path = tmp_path / "trace.jsonl"
+    save_trace(train(dataset12, 12, make_config(5)).trace, path)
+    raw = path.read_bytes()
+    offset = raw.index(b"\n") + 10  # inside line 2
+    path.write_bytes(raw[:offset] + b"\xff" + raw[offset + 1 :])
+    with pytest.raises(ValueError) as exc:
+        load_trace(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (
+        f"{path}: line 2: not UTF-8 ('utf-8' codec can't decode byte 0xff "
+        f"in position {offset}: invalid start byte)"
+    )
+
+
 def test_load_trace_rejects_non_list_flipped_positions(tmp_path, dataset12):
     import json
 
