@@ -172,8 +172,8 @@ def test_gate_kind_totals_n4_weight_626():
     assert sum(totals.values()) / (1 << 16) == 74.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_measure_builds_no_circuit_and_runs_no_gate(monkeypatch, n):
+def _record_circuits_and_gates(monkeypatch, n):
+    """Warm the Hadamard layer, then record every Circuit and gate kernel call."""
     perceptron._hadamard_layer(n)  # the one gate-kernel use, cached per n
     calls = []
 
@@ -182,9 +182,23 @@ def test_measure_builds_no_circuit_and_runs_no_gate(monkeypatch, n):
 
     monkeypatch.setattr(statevector.Circuit, "__post_init__", counting)
     monkeypatch.setattr(statevector, "_apply_inplace", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_measure_builds_no_circuit_and_runs_no_gate(monkeypatch, n):
+    calls = _record_circuits_and_gates(monkeypatch, n)
     size = 1 << (1 << n)
     for config in (PerceptronConfig(n=n), PerceptronConfig(n=n, mode="sampled")):
         measure(size - 1, size // 3, config)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_measure_many_builds_no_circuit_and_runs_no_gate(monkeypatch, n):
+    calls = _record_circuits_and_gates(monkeypatch, n)
+    size = 1 << (1 << n)
+    for config in (PerceptronConfig(n=n), PerceptronConfig(n=n, mode="sampled")):
         measure_many(range(size), size // 3, config)
     assert calls == []
 
