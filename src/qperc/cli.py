@@ -16,9 +16,9 @@ from .dataset import generate_dataset, load_dataset, save_dataset
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .perceptron import (
     DEFAULT_SHOTS,
-    MAX_DATA_QUBITS,
     MODES,
     PerceptronConfig,
+    check_n,
     check_value,
     measure,
 )
@@ -55,13 +55,14 @@ _FIELD_FLAGS = {
 }
 
 
-def _config(cls, **values):
-    """Build a config; a rejected field's message is prefixed with its flag.
+def _config(make, **values):
+    """Call a config class or a check on flag values.
 
-    Every config message starts with the name of the field it rejects.
+    Every message either raises starts with the name of the field it
+    rejects; the field's flag is put before it.
     """
     try:
-        return cls(**values)
+        return make(**values)
     except ValueError as exc:
         flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
         if flag is None:
@@ -106,8 +107,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     check_value(args.weight, args.n, "--weight")
     dataset = generate_dataset(args.weight, config)
     save_dataset(dataset, args.out)
-    ones = int(dataset.labels.sum())
-    print(f"wrote {len(dataset.labels)} rows ({ones} labeled 1) to {args.out}")
+    labels = dataset.labels
+    print(f"wrote {len(labels)} rows ({int(labels.sum())} labeled 1) to {args.out}")
     return 0
 
 
@@ -138,8 +139,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= MAX_DATA_QUBITS:
-        raise _UsageError(f"--n must be between 1 and {MAX_DATA_QUBITS}, got {args.n}")
+    _config(check_n, n=args.n)
     check_value(args.value, args.n, "--value")
     grid = pattern_grid(args.value, args.n, args.rows, args.cols)
     if args.format == "ascii":

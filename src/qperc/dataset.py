@@ -2,9 +2,10 @@
 
 For n data qubits every value in [0, 2^(2^n) - 1] is evaluated against the
 optimal weight and labeled 1 when the ancilla probability reaches 0.5 and 0
-otherwise (ties go to 1). The measured probability is stored next to each
-label so a loaded file can be audited without re-running the circuits. In
-memory the labels and probabilities are two columns whose row k is value k.
+otherwise (ties go to 1). In memory a dataset is one column of measured
+probabilities whose row k is value k, and the labels are derived from it.
+Files store each probability next to its label so a loaded file can be
+audited without re-running the circuits.
 
 On disk a dataset is a CSV file with header `value,label,probability` plus
 a JSON sidecar at `<path>.meta.json` carrying the optimal weight and the
@@ -33,21 +34,24 @@ _THRESHOLD = 0.5
 
 @dataclass
 class Dataset:
-    """All 2^(2^n) labeled values, row k being value k, and how they were measured."""
+    """All 2^(2^n) measured values, row k being value k, and how they were measured."""
 
     config: PerceptronConfig
     optimal_weight: int
-    labels: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        self.labels = np.asarray(self.labels)
         self.probabilities = np.asarray(self.probabilities)
-        shapes = (self.labels.shape, self.probabilities.shape)
-        if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
-            raise ValueError(f"expected two 1-D columns of one length, got {shapes}")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ValueError("labels must be 0 or 1")
+        if self.probabilities.ndim != 1:
+            raise ValueError(
+                f"expected a 1-D probability column, got shape "
+                f"{self.probabilities.shape}"
+            )
+
+    @property
+    def labels(self) -> np.ndarray:
+        """label_from_probability of every row, as one int64 column."""
+        return (self.probabilities >= _THRESHOLD).astype(np.int64)
 
 
 def label_from_probability(probability: float) -> int:
@@ -59,8 +63,7 @@ def generate_dataset(optimal_weight: int, config: PerceptronConfig) -> Dataset:
     """Label every value in ascending order against `optimal_weight`."""
     m = check_value(optimal_weight, config.n, "optimal weight")
     probabilities = measure_many(np.arange(1 << m), optimal_weight, config)
-    labels = (probabilities >= _THRESHOLD).astype(np.int64)
-    return Dataset(config, optimal_weight, labels, probabilities)
+    return Dataset(config, optimal_weight, probabilities)
 
 
 def _meta_path(path: str | Path) -> Path:
@@ -72,7 +75,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     texts, index = format_12g(dataset.probabilities)
     # Row k is str(k) plus one ",label,P" suffix per (label, distinct P).
     suffixes = [f",{label},{text}" for text in texts for label in (0, 1)]
-    keys = (2 * index + (dataset.labels == 1)).tolist()
+    keys = (2 * index + dataset.labels).tolist()
     rows = [f"{value}{suffixes[key]}" for value, key in enumerate(keys)]
     atomic_write_text(path, "\n".join([CSV_HEADER, *rows]) + "\n")
     meta = asdict(dataset.config)
@@ -148,7 +151,7 @@ def load_dataset(path: str | Path) -> Dataset:
             f"n={config.n}, got {len(body)}"
         )
 
-    labels, probabilities = [], []
+    probabilities = []
     for row_index, line in enumerate(body):
         lineno = row_index + 2
         fields = line.split(",")
@@ -168,7 +171,6 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"{path}: line {lineno}: field 'label': must be '0' or '1', "
                 f"got {fields[1]!r}"
             )
-        label = int(fields[1])
         try:
             probability = float(fields[2])
         except ValueError:
@@ -181,12 +183,11 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"{path}: line {lineno}: field 'probability': "
                 f"out of [0, 1]: {probability}"
             )
-        if label != label_from_probability(probability):
+        if int(fields[1]) != label_from_probability(probability):
             raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'label': {label} disagrees "
+                f"{path}: line {lineno}: field 'label': {fields[1]} disagrees "
                 f"with probability {probability}"
             )
-        labels.append(label)
         probabilities.append(probability)
 
-    return Dataset(config, optimal_weight, np.array(labels), np.array(probabilities))
+    return Dataset(config, optimal_weight, np.array(probabilities))

@@ -49,13 +49,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def read_lines(path: str | Path, error: type[ValueError] = ValueError) -> list[str]:
-    """The file's lines; a byte that is not UTF-8 raises `error` naming its line."""
+    """The file's lines; a byte that is not UTF-8 raises `error` naming its line.
+
+    Lines end at "\n" or "\r\n" only, as the UTF-8 error counts them:
+    str.splitlines would also break at form feeds, "\x85", "\u2028" and
+    others, and every later line number would drift.
+    """
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {lineno}: not UTF-8 ({exc})") from None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last line; it starts none
+    return lines
 
 
 def format_12g(values: np.ndarray) -> tuple[list[str], np.ndarray]:

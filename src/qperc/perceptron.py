@@ -23,20 +23,20 @@ is 0, which flips the phase of exactly |j>. That costs at most m MCZ and
 2*m*n X gates per sign vector.
 
 `measure_many` is the one circuit evaluator; `measure` is its one-row call.
-After the Hadamard layer every data amplitude has the same magnitude, so
-each sign oracle only multiplies amplitude j by a sign, and a +-1 multiply
-is exact there. The input's and the weight's sign rows multiply to the
-sign row of input ^ weight exactly, so each row is the cached
-Hadamard-layer state (computed once per n by the gate kernels) times that
-one sign row, and every row may carry its own weight. What is left of the
-circuit is the fixed readout: the Hadamard and X layers and the MCX. The
-ancilla reads 1 only where the MCX copied data |1...1>, which the X layer
-moved there from data |0...0>, so P is the square of one amplitude: data
-|0...0> after the readout's Hadamard layer. `measure_many` computes only
-that amplitude's light cone, n halvings of each row (qubit 0 first, the
-H kernel's add then scale), in float64: the gate path's imaginary parts
-are +-0 and its other ancilla-1 amplitudes exact zeros. It runs no gate
-and builds no `Circuit`.
+After the Hadamard layer every data amplitude is the same real number a,
+1.0 times the H kernel's 1/sqrt(2) once per qubit, so each sign oracle only
+multiplies amplitude j by a sign, and a +-1 multiply is exact there. The
+input's and the weight's sign rows multiply to the sign row of
+input ^ weight exactly, so each row is a times that one sign row, and
+every row may carry its own weight. What is left of the circuit is the
+fixed readout: the Hadamard and X layers and the MCX. The ancilla reads 1
+only where the MCX copied data |1...1>, which the X layer moved there from
+data |0...0>, so P is the square of one amplitude: data |0...0> after the
+readout's Hadamard layer. `measure_many` computes only that amplitude's
+light cone, n halvings of each row (qubit 0 first, the H kernel's add
+then scale), in float64: the gate path's imaginary parts are +-0 and its
+other ancilla-1 amplitudes exact zeros. It runs no gate and builds no
+`Circuit`.
 
 Each row's P equals, bit for bit, the P of its full gate-by-gate circuit
 (74 gates per input on average against weight 626 at n=4), so exact-mode
@@ -52,14 +52,14 @@ table is built once per call, when a row first needs it; a block's size
 bounds the uniforms as it bounds the amplitudes, and the tables are at most
 one per distinct P of the circuit (13 at n=4).
 
-`check_value` is the single range rule for encoded values; the dataset,
-training, rendering and CLI layers all call it.
+`check_n` is the single range rule for n and `check_value`, which calls
+it first, the one for encoded values; the dataset, training, rendering and
+CLI layers all call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,12 +68,10 @@ from .statevector import (
     _INV_SQRT2,
     Circuit,
     GateOp,
-    apply_gate,
     check_shots,
     h,
     mcx,
     mcz,
-    new_zero_state,
     sample_rates,
     x,
 )
@@ -108,10 +106,7 @@ class PerceptronConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DATA_QUBITS:
-            raise ValueError(
-                f"n must be between 1 and {MAX_DATA_QUBITS}, got {self.n}"
-            )
+        check_n(self.n)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "sampled":
@@ -120,8 +115,18 @@ class PerceptronConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
+def check_n(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_DATA_QUBITS."""
+    if not 1 <= n <= MAX_DATA_QUBITS:
+        raise ValueError(f"n must be between 1 and {MAX_DATA_QUBITS}, got {n}")
+
+
 def check_value(value: int, n: int, what: str) -> int:
-    """Return m = 2^n, or raise ValueError naming `what` if value >= 2^m or < 0."""
+    """Return m = 2^n, or raise ValueError naming `what` if value >= 2^m or < 0.
+
+    n is checked first, so a large n raises before 2^(2^n) is built.
+    """
+    check_n(n)
     m = 1 << n
     if not 0 <= value < (1 << m):
         raise ValueError(
@@ -178,19 +183,6 @@ def measure(input_value: int, weight: int, config: PerceptronConfig) -> float:
     return float(measure_many((input_value,), weight, config)[0])
 
 
-@lru_cache(maxsize=MAX_DATA_QUBITS)
-def _hadamard_layer(n: int) -> np.ndarray:
-    """The (n+1)-qubit state after H on every data qubit, read-only.
-
-    Built by the gate kernels, so its amplitudes are the gate path's bits.
-    """
-    state = new_zero_state(n + 1)
-    for q in range(n):
-        state = apply_gate(state, h(q))
-    state.amplitudes.setflags(write=False)
-    return state.amplitudes
-
-
 def _sign_rows(values: np.ndarray, m: int) -> np.ndarray:
     """One row of m float signs per value, MSB first: a set bit is -1.0."""
     bits = values[:, None] >> np.arange(m - 1, -1, -1, dtype=np.uint8)
@@ -243,16 +235,18 @@ def measure_many(
                 f"got {len(weights)} weights for {len(values)} inputs"
             )
     m = 1 << n
-    # The ancilla is the lowest index bit: column 0 holds the data
-    # amplitudes, whose imaginary parts are zero.
-    prepared = _hadamard_layer(n).reshape(m, 2)[:, 0].real
+    # Every data amplitude after the H layer, multiplied as the H kernel
+    # does, one qubit at a time: 2 ** (-n / 2) differs in the last bit.
+    a = 1.0
+    for _ in range(n):
+        a *= _INV_SQRT2
     probs = np.empty(len(values))
     tables = {}
     for start in range(0, len(values), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         chunk = values[rows]
         chunk_weights = weights[rows] if weights.ndim else weights
-        v = prepared * _sign_rows(chunk ^ chunk_weights, m)
+        v = a * _sign_rows(chunk ^ chunk_weights, m)
         # The readout's light cone: the H layer's zero halves, qubit 0
         # first, with the H kernel's add and then scale.
         for _ in range(n):

@@ -204,8 +204,6 @@ def _apply_inplace(amps: np.ndarray, num_qubits: int, op: GateOp) -> None:
     is 0 holds no state the gate acts on.
     """
     kind = op.kind
-    if kind not in ("H", "X", "MCZ", "MCX"):
-        raise ValueError(f"unknown gate kind {kind!r}")
     n = num_qubits
     target = n - 1 if op.target is None else op.target
     s = 1 << (n - 1 - target)

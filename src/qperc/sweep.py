@@ -28,12 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import atomic_write_text, format_12g, read_lines, round_12g
-from .perceptron import (
-    PerceptronConfig,
-    check_value,
-    closed_form_probability,
-    measure_many,
-)
+from .perceptron import PerceptronConfig, closed_form_probability, measure_many
 
 MAX_SWEEP_QUBITS = 3
 
@@ -47,19 +42,6 @@ class SweepMatrix:
     config: PerceptronConfig
     probs: np.ndarray
     max_abs_deviation: float | None = None
-
-
-def _closed_form_column(weight: int, n: int) -> np.ndarray:
-    """closed_form_probability(i, weight, n) for every input i, in order.
-
-    P depends only on d = popcount(i ^ weight), so the m + 1 scalar closed
-    forms, one per distance, indexed by each input's distance give them all.
-    """
-    m = check_value(weight, n, "weight")
-    by_distance = np.array(
-        [closed_form_probability(0, (1 << d) - 1, n) for d in range(m + 1)]
-    )
-    return by_distance[np.bitwise_count(np.arange(1 << m) ^ weight)]
 
 
 def compute_sweep(config: PerceptronConfig) -> SweepMatrix:
@@ -79,10 +61,14 @@ def compute_sweep(config: PerceptronConfig) -> SweepMatrix:
     columns = columns.reshape(size, size)
     deviation = None
     if config.mode == "exact":
-        deviation = max(
-            float(np.max(np.abs(columns[w] - _closed_form_column(w, config.n))))
-            for w in range(size)
+        # P depends only on d = popcount(i ^ w), so the m + 1 scalar closed
+        # forms, one per distance, indexed by each pair's distance give them all.
+        m = 1 << config.n
+        by_distance = np.array(
+            [closed_form_probability(0, (1 << d) - 1, config.n) for d in range(m + 1)]
         )
+        expected = by_distance[np.bitwise_count(values[:, None] ^ values)]
+        deviation = float(np.max(np.abs(columns - expected)))
     return SweepMatrix(config, round_12g(columns).T, deviation)
 
 

@@ -449,6 +449,12 @@ def test_render_rejects_bad_shape(capsys):
     assert "rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "5"])
+def test_render_rejects_n_out_of_range_naming_flag(capsys, n):
+    assert run_cli("render", "--value", "0", "--n", n) == 2
+    assert capsys.readouterr().err == f"error: --n: n must be between 1 and 4, got {n}\n"
+
+
 def test_render_rejects_out_of_range_value(capsys):
     assert run_cli("render", "--value", "16", "--n", "2") == 2
     assert "--value" in capsys.readouterr().err

@@ -143,3 +143,47 @@ def test_load_trace_rejects_wrongly_typed_fields_naming_them(data):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line {row + 1}: field '{name}'"):
             load_trace(path)
+
+
+# A form feed, which str.splitlines would also break at, does not move the
+# line an error names: lines end at "\n" or "\r\n" only.
+
+
+def test_load_dataset_names_the_line_holding_a_form_feed(tmp_path):
+    path = tmp_path / "data.csv"
+    save_dataset(generate_dataset(12, PerceptronConfig(n=2)), path)
+    lines = path.read_text().split("\n")
+    lines[4] = lines[4].replace(",", ",\f", 1)  # line 5, the row of value 3
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=r"line 5: field 'label': must be '0' or '1'"):
+        load_dataset(path)
+
+
+def test_load_sweep_csv_names_the_row_holding_a_form_feed(tmp_path):
+    path = tmp_path / "sweep.csv"
+    save_sweep(_SWEEP, path)
+    lines = path.read_text().split("\n")
+    lines[3] = lines[3].replace(",", "\f,", 1)  # the row of input 2
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=r"row 2: expected header 2 and 4 cells"):
+        load_sweep_csv(path)
+
+
+def test_load_trace_names_the_line_after_a_form_feed_line(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    save_trace(_TRACE, path)
+    first = path.read_text().split("\n")[0]
+    path.write_text(f"{first}\n\f\nnot json\n")  # line 2 is blank
+    with pytest.raises(ValueError, match=r"line 3: invalid JSON"):
+        load_trace(path)
+
+
+def test_crlf_dataset_loads_as_its_lf_original(tmp_path):
+    path = tmp_path / "data.csv"
+    save_dataset(_DATASET, path)
+    original = load_dataset(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = load_dataset(path)
+    assert loaded.config == original.config
+    assert loaded.optimal_weight == original.optimal_weight
+    assert loaded.probabilities.tobytes() == original.probabilities.tobytes()

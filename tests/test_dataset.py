@@ -108,8 +108,7 @@ def _datasets(draw):
     rows = 1 << (1 << n)
     hits = draw(st.lists(st.integers(0, config.shots), min_size=rows, max_size=rows))
     probabilities = np.array(hits) / config.shots
-    labels = [label_from_probability(p) for p in probabilities]
-    return Dataset(config, draw(st.integers(0, rows - 1)), labels, probabilities)
+    return Dataset(config, draw(st.integers(0, rows - 1)), probabilities)
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,20 +124,20 @@ def test_save_load_round_trip_property(dataset):
     assert loaded.probabilities.tobytes() == round_12g(dataset.probabilities).tobytes()
 
 
-@given(st.integers(0, 8), st.integers(0, 8))
-def test_dataset_columns_must_have_one_length(rows, other):
-    labels, probabilities = np.ones(rows, dtype=int), np.ones(other)
-    if rows == other:
-        assert len(Dataset(PerceptronConfig(n=1), 0, labels, probabilities).labels) == rows
-    else:
-        with pytest.raises(ValueError, match="one length"):
-            Dataset(PerceptronConfig(n=1), 0, labels, probabilities)
+@given(st.lists(st.floats(0, 1), max_size=8))
+def test_dataset_labels_follow_label_from_probability(drawn):
+    # the tie at 0.5 and its two neighbours, then any probabilities
+    probabilities = [np.nextafter(0.5, 0), 0.5, np.nextafter(0.5, 1), *drawn]
+    labels = Dataset(PerceptronConfig(n=1), 0, probabilities).labels
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [label_from_probability(p) for p in probabilities]
+    assert labels[:3].tolist() == [0, 1, 1]
 
 
-def test_dataset_labels_must_be_0_or_1():
-    # save_dataset picks each row's text by its label
-    with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        Dataset(PerceptronConfig(n=1), 0, [0, 2, 1, 0], np.zeros(4))
+def test_dataset_column_must_be_1d():
+    for column in (0.5, np.zeros((2, 2)), [[0.25, 1.0]]):
+        with pytest.raises(ValueError, match="1-D probability column"):
+            Dataset(PerceptronConfig(n=1), 0, column)
 
 
 def test_save_is_byte_deterministic(tmp_path, small_dataset):

@@ -172,9 +172,8 @@ def test_gate_kind_totals_n4_weight_626():
     assert sum(totals.values()) / (1 << 16) == 74.0
 
 
-def _record_circuits_and_gates(monkeypatch, n):
-    """Warm the Hadamard layer, then record every Circuit and gate kernel call."""
-    perceptron._hadamard_layer(n)  # the one gate-kernel use, cached per n
+def _record_circuits_and_gates(monkeypatch):
+    """Record every Circuit and gate kernel call, from a cold first call on."""
     calls = []
 
     def counting(*args):
@@ -187,7 +186,7 @@ def _record_circuits_and_gates(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_measure_builds_no_circuit_and_runs_no_gate(monkeypatch, n):
-    calls = _record_circuits_and_gates(monkeypatch, n)
+    calls = _record_circuits_and_gates(monkeypatch)
     size = 1 << (1 << n)
     for config in (PerceptronConfig(n=n), PerceptronConfig(n=n, mode="sampled")):
         measure(size - 1, size // 3, config)
@@ -196,7 +195,7 @@ def test_measure_builds_no_circuit_and_runs_no_gate(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_measure_many_builds_no_circuit_and_runs_no_gate(monkeypatch, n):
-    calls = _record_circuits_and_gates(monkeypatch, n)
+    calls = _record_circuits_and_gates(monkeypatch)
     size = 1 << (1 << n)
     for config in (PerceptronConfig(n=n), PerceptronConfig(n=n, mode="sampled")):
         measure_many(range(size), size // 3, config)
@@ -220,6 +219,18 @@ def test_measure_checks_each_value_once(monkeypatch):
         measure(16, 0, PerceptronConfig(n=2))
     with pytest.raises(ValueError, match="weight"):
         measure(0, 16, PerceptronConfig(n=2))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 5])
+def test_n_out_of_range_is_refused_before_any_value_check(n):
+    message = f"n must be between 1 and 4, got {n}"
+    for call in (
+        lambda: PerceptronConfig(n=n),
+        lambda: check_value(0, n, "weight"),
+        lambda: closed_form_probability(0, 0, n),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_check_value_bounds_and_message():

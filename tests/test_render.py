@@ -32,6 +32,12 @@ def test_grid_explicit_shape():
     assert flat == "0000001001110010"
 
 
+@pytest.mark.parametrize("n", [-1, 0, 5])
+def test_grid_rejects_n_out_of_range(n):
+    with pytest.raises(ValueError, match=f"^n must be between 1 and 4, got {n}$"):
+        pattern_grid(0, n)
+
+
 def test_grid_rejects_wrong_area():
     with pytest.raises(ValueError):
         pattern_grid(0, 2, rows=2, cols=3)

@@ -12,7 +12,6 @@ from qperc.ioutil import format_12g, round_12g
 from qperc.perceptron import PerceptronConfig, closed_form_probability, measure_many
 from qperc.sweep import (
     SweepMatrix,
-    _closed_form_column,
     compute_sweep,
     load_sweep_csv,
     save_sweep,
@@ -67,11 +66,15 @@ def test_sweep_refuses_n4():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_closed_form_column_equals_scalar_closed_form_on_every_pair(n):
+def test_sweep_deviation_is_largest_gap_to_scalar_closed_form(n):
+    config = PerceptronConfig(n=n)
     size = 1 << (1 << n)
+    gap = 0.0
     for w in range(size):
-        expected = [closed_form_probability(i, w, n) for i in range(size)]
-        assert _closed_form_column(w, n).tolist() == expected
+        column = measure_many(range(size), w, config).tolist()
+        for i, p in enumerate(column):
+            gap = max(gap, abs(p - closed_form_probability(i, w, n)))
+    assert compute_sweep(config).max_abs_deviation == gap
 
 
 def test_sweep_csv_round_trip(tmp_path, sweep2):

@@ -466,9 +466,7 @@ def test_train_equals_reference_across_look_ahead_blocks(monkeypatch):
     # run never reaches: the second epoch is one look-ahead chunk of 8,192
     # rows, which measure_many splits into BLOCK_ROWS blocks.
     full = generate_dataset(626, PerceptronConfig(n=4))
-    dataset = Dataset(
-        full.config, 626, full.labels[:8192], full.probabilities[:8192]
-    )
+    dataset = Dataset(full.config, 626, full.probabilities[:8192])
     config = make_config(3, max_epochs=2, convergence="strict")
     chunks = []
     measure_many = training.measure_many
