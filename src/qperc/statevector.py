@@ -9,11 +9,13 @@ the last axis, so on a block of states, one per row, each row gets the
 arithmetic `run_circuit` gives a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
-no arrays. Every gate walks the state in tiles of 2^14 amplitudes (256 KB)
-and finishes a tile before it reads the next, so the state streams through
-memory at most once per gate, and a gate's scratch memory is bounded by
-the tile, whatever the register size: one tile for X, MCZ and MCX, two for
-H, against 256 MB of state at the cap.
+no arrays. They walk the state in tiles of 2^14 amplitudes (256 KB). A run
+of consecutive gates whose (zero, one) pairs fit in a tile is applied in
+one walk, every gate of the run finishing a tile before the next tile is
+read, so the state streams through memory once per run of such gates, not
+once per gate; a gate on one of the top n-14 qubits walks alone. A gate's
+scratch memory is bounded by the tile, whatever the register size: one
+tile for X, MCZ and MCX, two for H, against 256 MB of state at the cap.
 
 Registers are capped at 24 qubits; a dense complex128 vector at that size
 is 256 MB, which is as far as this simulator is meant to go.
@@ -33,7 +35,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import groupby, islice
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +49,11 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Amplitudes per tile in _apply_inplace, a power of two: 2^14 complex128
 # amplitudes are 256 KB, which stays in L2 while a gate works on them.
 _TILE = 1 << 14
+
+# Most tile-local gates _apply_inplace applies in one walk: their prepared
+# index tuples take under 1 KB each, so a walk holds a few KB of them at
+# any circuit length.
+_RUN = 16
 
 # SplitMix64's increment and finaliser multipliers (Steele, Lea and Flood,
 # "Fast splittable pseudorandom number generators", OOPSLA 2014).
@@ -184,83 +192,144 @@ def _check_op(op: GateOp, num_qubits: int) -> None:
         )
 
 
-def _apply_inplace(amps: np.ndarray, num_qubits: int, op: GateOp) -> None:
-    """Apply one gate along the last axis of a C-contiguous state or block.
+class _Gate(NamedTuple):
+    """A gate as _apply_tile applies it, prepared once per kernel call.
 
-    Every gate walks `amps.reshape(-1, 2, s)`, whose axis 1 is the bit of
-    the target (of the last qubit for MCZ, which has none), in tiles of at
-    most _TILE amplitudes: a run of whole (zero, one) pairs when a pair
-    fits in a tile, else a zero-half chunk and its matching one-half
-    chunk. The gate is done on one tile before the next is read, and no
-    temporary outlives its tile: X's reversed copy is a tile, MCZ's and
-    MCX's hit copies are at most a tile, and H's difference is half a
-    tile beside the three half-tile buffers numpy copies its in-place add
-    through when a tile holds several pairs. A block no larger than a tile
-    is one tile, the whole view.
+    width is the target's stride s (the last qubit's for MCZ) when a
+    (zero, one) pair fits in a tile, else half a tile; fixed is the mask of
+    the controls whose bit a tile's offset fixes; shape, hit and source
+    index MCZ's and MCX's cube.
+    """
+
+    kind: str
+    s: int
+    width: int
+    fixed: int = 0
+    shape: tuple = ()
+    hit: tuple = ()
+    source: tuple = ()
+
+
+def _prepare(op: GateOp, n: int) -> _Gate:
+    """Check `op` against an n-qubit register and index it for _apply_tile."""
+    _check_op(op, n)
+    target = n - 1 if op.target is None else op.target
+    s = 1 << (n - 1 - target)
+    width = min(s, _TILE // 2)
+    if op.kind in ("H", "X"):
+        return _Gate(op.kind, s, width)
+    # The cube's axes: rows, then the target when a tile is two chunks,
+    # then qubits `low` to n-1, whose bits vary in one chunk.
+    split = width < s
+    low = n + 1 - (width if split else min(1 << n, _TILE)).bit_length()
+    index = [slice(None)] * (1 + split + n - low)
+    fixed = 0
+    for q in op.controls:
+        if q < low:
+            fixed |= 1 << (n - 1 - q)
+        else:
+            index[1 + split + q - low] = 1
+    shape = (-1,) + (2,) * (len(index) - 1)
+    hit = tuple(index)
+    if op.kind == "MCX":
+        index[1 if split else 1 + target - low] = slice(None, None, -1)
+    return _Gate(op.kind, s, width, fixed, shape, hit, tuple(index))
+
+
+def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> None:
+    """Apply gates in order along the last axis of a C-contiguous state or block.
+
+    A gate is tile-local when its (zero, one) pair fits in a tile of
+    _TILE amplitudes: MCZ always, H, X and MCX unless the target is one of
+    the top n-14 qubits. Each run of consecutive tile-local gates, cut
+    every _RUN gates, walks the amplitudes once, in contiguous tiles of at
+    most _TILE, and every gate of the run is done on a tile before the
+    next tile is read, so the state streams through memory once per run,
+    not once per gate. Any other gate ends the run and walks alone, a
+    zero-half chunk of half a tile at a time with its matching one-half
+    chunk.
+
+    Each op is checked against the register as its run is prepared, so an
+    op out of range raises before its run changes any amplitude, though
+    earlier runs have been applied.
+    """
+    gates = (_prepare(op, num_qubits) for op in ops)
+    flat = amps.reshape(-1)
+    for local, group in groupby(gates, key=lambda g: g.width == g.s):
+        if local:
+            while run := list(islice(group, _RUN)):
+                for offset in range(0, flat.size, _TILE):
+                    tile = flat[offset : offset + _TILE]
+                    for gate in run:
+                        _apply_tile(tile, offset, gate)
+            continue
+        for gate in group:
+            s, width = gate.s, gate.width
+            view = flat.reshape(-1, 2, s)
+            for p in range(len(view)):
+                for c in range(0, s, width):
+                    _apply_tile(view[p : p + 1, :, c : c + width], 2 * s * p + c, gate)
+
+
+def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
+    """Apply one gate to one tile, whose first amplitude is at `offset`.
+
+    A tile is a contiguous chunk of whole (zero, one) pairs, or the
+    (1, 2, width) view of a zero-half chunk and its one-half chunk. H and X
+    work on the tile's zero and one halves: for a stride s of at most 4,
+    the 1-D strided views tile[j::2s] and tile[s+j::2s], one pair per j,
+    so numpy's inner loops run half the tile over s, not s amplitudes;
+    else the (pairs, 2, s) view's two halves. H's difference is half a
+    tile, beside, when s > 4 and a tile holds several pairs, the three
+    half-tile buffers numpy copies its in-place add through, as it cannot
+    rule out overlap between the halves. X's swap copy is half a tile,
+    and so, when s > 4, is the buffer numpy copies the one half through.
 
     MCZ and MCX see a tile as a cube with one size-2 axis per qubit whose
     bit varies inside it (qubit 0 first, after one leading axis). The
     tile's offset fixes every other qubit, so a tile where such a control
-    is 0 holds no state the gate acts on.
+    is 0 holds no state the gate acts on. No temporary outlives its tile:
+    MCZ's and MCX's hit copies are at most a tile.
     """
-    kind = op.kind
-    n = num_qubits
-    target = n - 1 if op.target is None else op.target
-    s = 1 << (n - 1 - target)
-    view = amps.reshape(-1, 2, s)
-    pairs = max(1, _TILE // (2 * s))
-    width = min(s, _TILE // 2)
-    if kind in ("MCZ", "MCX"):
-        # The cube's axes: rows, then the target when a tile is two
-        # chunks, then qubits `low` to n-1, whose bits vary in one chunk.
-        split = width < s
-        low = n + 1 - (width if split else min(1 << n, _TILE)).bit_length()
-        index = [slice(None)] * (1 + split + n - low)
-        fixed = 0
-        for q in op.controls:
-            if q < low:
-                fixed |= 1 << (n - 1 - q)
-            else:
-                index[1 + split + q - low] = 1
-        shape = (-1,) + (2,) * (len(index) - 1)
-        hit = tuple(index)
-        if kind == "MCX":
-            index[1 if split else 1 + target - low] = slice(None, None, -1)
-            source = tuple(index)
-    for p in range(0, len(view), pairs):
-        for c in range(0, s, width):
-            tile = view[p : p + pairs, :, c : c + width]
+    kind, width = gate.kind, gate.width
+    if kind in ("H", "X"):
+        if width <= 4:
+            step = 2 * width
+            halves = [(tile[j::step], tile[width + j :: step]) for j in range(width)]
+        else:
+            pairs = tile.reshape(-1, 2, width)
+            halves = [(pairs[:, 0], pairs[:, 1])]
+        for zero, one in halves:
             if kind == "H":
-                zero, one = tile[:, 0], tile[:, 1]
                 diff = zero - one
                 zero += one
                 one[...] = diff
-                tile *= _INV_SQRT2
-            elif kind == "X":
-                tile[...] = tile[:, ::-1]
-            elif ((p * 2 * s + c) & fixed) != fixed:
-                if kind == "MCZ":
-                    tile *= 1.0
-            elif kind == "MCZ":
-                # A +-1 sign-array multiply, as MCZ is defined: a complex
-                # multiply by 1.0 clears some signed zeros, so the states
-                # the gate leaves alone are multiplied too.
-                cube = tile.reshape(shape)
-                flipped = cube[hit] * -1.0
-                tile *= 1.0
-                cube[hit] = flipped
-                # up to a tile, freed before the next tile's is made
-                del flipped
             else:
-                cube = tile.reshape(shape)
-                cube[hit] = cube[source]
+                swap = zero.copy()
+                zero[...] = one
+                one[...] = swap
+        if kind == "H":
+            tile *= _INV_SQRT2
+    elif (offset & gate.fixed) != gate.fixed:
+        if kind == "MCZ":
+            tile *= 1.0
+    elif kind == "MCZ":
+        # A +-1 sign-array multiply, as MCZ is defined: a complex multiply
+        # by 1.0 clears some signed zeros, so the states the gate leaves
+        # alone are multiplied too.
+        cube = tile.reshape(gate.shape)
+        flipped = cube[gate.hit] * -1.0
+        tile *= 1.0
+        cube[gate.hit] = flipped
+    else:
+        cube = tile.reshape(gate.shape)
+        cube[gate.hit] = cube[gate.source]
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Return the state after one gate; the input state is untouched."""
-    _check_op(op, state.num_qubits)
     amps = state.amplitudes.copy()
-    _apply_inplace(amps, state.num_qubits, op)
+    _apply_inplace(amps, state.num_qubits, (op,))
     return StateVector(state.num_qubits, amps)
 
 
@@ -272,8 +341,7 @@ def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
             f"but the state has {state.num_qubits}"
         )
     amps = state.amplitudes.copy()
-    for op in circuit.ops:
-        _apply_inplace(amps, circuit.num_qubits, op)
+    _apply_inplace(amps, circuit.num_qubits, circuit.ops)
     return StateVector(circuit.num_qubits, amps)
 
 

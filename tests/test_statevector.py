@@ -142,6 +142,22 @@ def test_apply_gate_rejects_out_of_range_qubit():
         apply_gate(new_zero_state(2), h(2))
 
 
+@pytest.mark.parametrize(
+    "n, op, message",
+    [
+        (3, mcz([0, 4]), "MCZ gate touches qubit 4 but the register has 3 qubits"),
+        (2, h(5), "H gate touches qubit 5 but the register has 2 qubits"),
+    ],
+    ids=["mcz-past-register", "h-past-register"],
+)
+def test_run_circuit_checks_ops_appended_after_construction(n, op, message):
+    # Circuit checks its ops once, at construction; ops is a plain list
+    circuit = Circuit(n, [h(0)])
+    circuit.ops.append(op)
+    with pytest.raises(ValueError, match=message):
+        run_circuit(circuit, new_zero_state(n))
+
+
 def test_run_circuit_register_size_mismatch():
     with pytest.raises(ValueError):
         run_circuit(Circuit(3, [h(0)]), new_zero_state(2))
@@ -378,7 +394,7 @@ def test_kernels_need_at_most_one_state_sized_temporary():
 @pytest.mark.parametrize(
     "op",
     [
-        h(0), h(17), h(8), x(0), x(17),
+        h(0), h(17), h(16), h(8), x(0), x(17), x(16),
         # one qubit, and one control, at either end: the whole tile or
         # every other amplitude of it is hit
         mcz([0]), mcz([17]), mcx([0], 17), mcx([17], 0),
@@ -389,15 +405,16 @@ def test_kernels_need_at_most_one_state_sized_temporary():
 def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op):
     n = 18
     amps = random_state(n, seed=2).amplitudes
-    # H's in-place add: when a tile holds several (zero, one) pairs, numpy
-    # cannot rule out overlap between the halves and copies through three
-    # half-tile buffers beside the half-tile difference.
+    # H's in-place add: when a tile holds several (zero, one) pairs of
+    # stride above 4, numpy cannot rule out overlap between the halves and
+    # copies through three half-tile buffers beside the half-tile
+    # difference.
     tiles = 2 if op.kind == "H" else 1
     bound = tiles * TILE_BYTES + SLACK_BYTES
     assert bound < amps.nbytes / 4
     tracemalloc.start()
     try:
-        _apply_inplace(amps, n, op)
+        _apply_inplace(amps, n, (op,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -458,9 +475,14 @@ def _assert_matches_reference(n, rows, ops, seed):
     expected = block.copy()
     for op in ops:
         expected = _reference_apply(expected, n, op)
+    # gate by gate, and the whole list in one call, whose runs of
+    # tile-local gates share one walk
+    one_call = block.copy()
     for op in ops:
-        _apply_inplace(block, n, op)
+        _apply_inplace(block, n, (op,))
+    _apply_inplace(one_call, n, ops)
     assert block.tobytes() == expected.tobytes()
+    assert one_call.tobytes() == expected.tobytes()
 
 
 def _draw_case(data):
@@ -496,5 +518,9 @@ def test_kernels_match_reference_bytes_at_20_qubits():
         h(0), h(19), h(9), x(0), x(19), x(11),
         mcz([0]), mcz([19]), mcz([2, 9, 16]),
         mcx([0], 19), mcx([19], 0), mcx([1, 8, 13], 5), mcx([4, 17], 2),
+        # stride 2 and 4
+        h(18), h(17), x(18), x(17),
+        # a run of tile-local gates between two that are not
+        h(3), h(16), x(12), mcz([0, 7, 18]), mcx([2, 5], 14), h(6), x(19), x(1),
     ]
     _assert_matches_reference(20, 1, ops, seed=20)
