@@ -226,7 +226,7 @@ def measure_many(
     values = _check_values(inputs, n, "input value")
     if np.ndim(weight) == 0:
         check_value(weight, n, "weight")
-        # a numpy scalar, so that `chunk ^ weights` takes the wider type
+        # a numpy scalar, which has the array attributes used below
         weights = np.int64(weight)
     else:
         weights = _check_values(weight, n, "weight")
@@ -244,8 +244,12 @@ def measure_many(
     tables = {}
     for start in range(0, len(values), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        chunk = values[rows]
-        chunk_weights = weights[rows] if weights.ndim else weights
+        # int64 whatever the callers' integer type: every in-range value
+        # is below 2^16, and uint64 ^ int64 has no numpy loop.
+        chunk = values[rows].astype(np.int64, copy=False)
+        chunk_weights = (
+            weights[rows].astype(np.int64, copy=False) if weights.ndim else weights
+        )
         v = a * _sign_rows(chunk ^ chunk_weights, m)
         # The readout's light cone: the H layer's zero halves, qubit 0
         # first, with the H kernel's add and then scale.

@@ -9,13 +9,13 @@ the last axis, so on a block of states, one per row, each row gets the
 arithmetic `run_circuit` gives a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
-no arrays. They walk the state in tiles of 2^14 amplitudes (256 KB). A run
-of consecutive gates whose (zero, one) pairs fit in a tile is applied in
-one walk, every gate of the run finishing a tile before the next tile is
-read, so the state streams through memory once per run of such gates, not
-once per gate; a gate on one of the top n-14 qubits walks alone. A gate's
-scratch memory is bounded by the tile, whatever the register size: one
-tile for X, MCZ and MCX, two for H, against 256 MB of state at the cap.
+no arrays. Each gate walks the state once, in tiles of 2^14 amplitudes
+(256 KB). MCZ is diagonal: it negates the states where all its qubits are
+1, in place, and neither reads nor writes a tile that holds none of them.
+A gate's scratch memory is bounded by the tile, whatever the register
+size: one tile for X, MCX and MCZ, two for H, against 256 MB of state at
+the cap. MCZ's is only the buffers numpy runs a hit through when it does
+not flatten to one stride.
 
 Registers are capped at 24 qubits; a dense complex128 vector at that size
 is 256 MB, which is as far as this simulator is meant to go.
@@ -35,7 +35,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby, islice
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,11 +48,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Amplitudes per tile in _apply_inplace, a power of two: 2^14 complex128
 # amplitudes are 256 KB, which stays in L2 while a gate works on them.
 _TILE = 1 << 14
-
-# Most tile-local gates _apply_inplace applies in one walk: their prepared
-# index tuples take under 1 KB each, so a walk holds a few KB of them at
-# any circuit length.
-_RUN = 16
 
 # SplitMix64's increment and finaliser multipliers (Steele, Lea and Flood,
 # "Fast splittable pseudorandom number generators", OOPSLA 2014).
@@ -239,66 +233,51 @@ def _prepare(op: GateOp, n: int) -> _Gate:
 def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> None:
     """Apply gates in order along the last axis of a C-contiguous state or block.
 
-    A gate is tile-local when its (zero, one) pair fits in a tile of
-    _TILE amplitudes: MCZ always, H, X and MCX unless the target is one of
-    the top n-14 qubits. Each run of consecutive tile-local gates, cut
-    every _RUN gates, walks the amplitudes once, in contiguous tiles of at
-    most _TILE, and every gate of the run is done on a tile before the
-    next tile is read, so the state streams through memory once per run,
-    not once per gate. Any other gate ends the run and walks alone, a
-    zero-half chunk of half a tile at a time with its matching one-half
-    chunk.
-
-    Each op is checked against the register as its run is prepared, so an
-    op out of range raises before its run changes any amplitude, though
-    earlier runs have been applied.
+    Each gate walks the amplitudes once, as (zero, one) pairs of its
+    stride s: a tile is as many whole pairs as fill _TILE amplitudes, or,
+    when one pair does not fit, a zero-half chunk of half a tile with its
+    matching one-half chunk. Each op is checked against the register as it
+    is prepared, so an op out of range raises before it changes any
+    amplitude, though earlier gates have been applied.
     """
-    gates = (_prepare(op, num_qubits) for op in ops)
-    flat = amps.reshape(-1)
-    for local, group in groupby(gates, key=lambda g: g.width == g.s):
-        if local:
-            while run := list(islice(group, _RUN)):
-                for offset in range(0, flat.size, _TILE):
-                    tile = flat[offset : offset + _TILE]
-                    for gate in run:
-                        _apply_tile(tile, offset, gate)
-            continue
-        for gate in group:
-            s, width = gate.s, gate.width
-            view = flat.reshape(-1, 2, s)
-            for p in range(len(view)):
-                for c in range(0, s, width):
-                    _apply_tile(view[p : p + 1, :, c : c + width], 2 * s * p + c, gate)
+    for op in ops:
+        gate = _prepare(op, num_qubits)
+        s, width = gate.s, gate.width
+        view = amps.reshape(-1, 2, s)
+        pairs = max(1, _TILE // (2 * s))
+        for p in range(0, len(view), pairs):
+            for c in range(0, s, width):
+                _apply_tile(view[p : p + pairs, :, c : c + width], 2 * s * p + c, gate)
 
 
 def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
-    """Apply one gate to one tile, whose first amplitude is at `offset`.
+    """Apply one gate to one (pairs, 2, width) tile, first amplitude at `offset`.
 
-    A tile is a contiguous chunk of whole (zero, one) pairs, or the
-    (1, 2, width) view of a zero-half chunk and its one-half chunk. H and X
-    work on the tile's zero and one halves: for a stride s of at most 4,
-    the 1-D strided views tile[j::2s] and tile[s+j::2s], one pair per j,
-    so numpy's inner loops run half the tile over s, not s amplitudes;
-    else the (pairs, 2, s) view's two halves. H's difference is half a
-    tile, beside, when s > 4 and a tile holds several pairs, the three
-    half-tile buffers numpy copies its in-place add through, as it cannot
-    rule out overlap between the halves. X's swap copy is half a tile,
-    and so, when s > 4, is the buffer numpy copies the one half through.
+    H and X work on the tile's zero and one halves: for a stride s of at
+    most 4, where the tile is contiguous, the 1-D strided views
+    tile[j::2s] and tile[s+j::2s] of the flat tile, one pair per j, so
+    numpy's inner loops run half the tile over s, not s amplitudes; else
+    tile[:, 0] and tile[:, 1]. H's difference is half a tile, beside, when
+    s > 4 and a tile holds several pairs, the three half-tile buffers numpy
+    copies its in-place add through, as it cannot rule out overlap between
+    the halves. X's swap copy is half a tile, and so, when s > 4, is the
+    buffer numpy copies the one half through.
 
     MCZ and MCX see a tile as a cube with one size-2 axis per qubit whose
     bit varies inside it (qubit 0 first, after one leading axis). The
     tile's offset fixes every other qubit, so a tile where such a control
-    is 0 holds no state the gate acts on. No temporary outlives its tile:
-    MCZ's and MCX's hit copies are at most a tile.
+    is 0 holds no state the gate acts on and is left alone. MCZ negates
+    its hit states in place, through numpy's two ufunc buffers of at most
+    half a tile each when the hit does not flatten to one stride; MCX's
+    hit copy is at most a tile.
     """
     kind, width = gate.kind, gate.width
     if kind in ("H", "X"):
         if width <= 4:
-            step = 2 * width
-            halves = [(tile[j::step], tile[width + j :: step]) for j in range(width)]
+            flat, step = tile.reshape(-1), 2 * width
+            halves = [(flat[j::step], flat[width + j :: step]) for j in range(width)]
         else:
-            pairs = tile.reshape(-1, 2, width)
-            halves = [(pairs[:, 0], pairs[:, 1])]
+            halves = [(tile[:, 0], tile[:, 1])]
         for zero, one in halves:
             if kind == "H":
                 diff = zero - one
@@ -310,20 +289,12 @@ def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
                 one[...] = swap
         if kind == "H":
             tile *= _INV_SQRT2
-    elif (offset & gate.fixed) != gate.fixed:
+    elif (offset & gate.fixed) == gate.fixed:
+        cube = tile.reshape(gate.shape)
         if kind == "MCZ":
-            tile *= 1.0
-    elif kind == "MCZ":
-        # A +-1 sign-array multiply, as MCZ is defined: a complex multiply
-        # by 1.0 clears some signed zeros, so the states the gate leaves
-        # alone are multiplied too.
-        cube = tile.reshape(gate.shape)
-        flipped = cube[gate.hit] * -1.0
-        tile *= 1.0
-        cube[gate.hit] = flipped
-    else:
-        cube = tile.reshape(gate.shape)
-        cube[gate.hit] = cube[gate.source]
+            cube[gate.hit] *= -1.0
+        else:
+            cube[gate.hit] = cube[gate.source]
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:

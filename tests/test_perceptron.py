@@ -533,3 +533,16 @@ def test_measure_many_checks_the_weights():
         measure_many([0, 1, 2], 16, config)
     with pytest.raises(ValueError, match=r"^input value must be in \[0, 15\] for n=2, got -5$"):
         measure_many([0, -5, 99], [1, 1, 1], config)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64, np.int32])
+@pytest.mark.parametrize("mode", MODES)
+def test_measure_many_takes_any_integer_type(dtype, mode):
+    config = PerceptronConfig(n=3, mode=mode, shots=64, seed=3)
+    inputs = list(range(0, 256, 5))
+    weights = [(77 + 31 * k) % 256 for k in range(len(inputs))]
+    typed = np.array(inputs, dtype=dtype)
+    mixed = measure_many(inputs, weights, config, 2).tobytes()
+    assert measure_many(typed, np.array(weights, dtype=dtype), config, 2).tobytes() == mixed
+    one = measure_many(inputs, 77, config).tobytes()
+    assert measure_many(typed, dtype(77), config).tobytes() == one

@@ -408,8 +408,12 @@ def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op):
     # H's in-place add: when a tile holds several (zero, one) pairs of
     # stride above 4, numpy cannot rule out overlap between the halves and
     # copies through three half-tile buffers beside the half-tile
-    # difference.
-    tiles = 2 if op.kind == "H" else 1
+    # difference. MCZ negates its hit states in place, but numpy multiplies
+    # a hit that does not flatten to one stride, as mcz([1, 9, 16])'s,
+    # through two ufunc buffers of up to 8192 amplitudes: a tile in all.
+    tiles = {"H": 2, "MCZ": 0}.get(op.kind, 1)
+    if op == mcz([1, 9, 16]):
+        tiles = 1
     bound = tiles * TILE_BYTES + SLACK_BYTES
     assert bound < amps.nbytes / 4
     tracemalloc.start()
@@ -423,7 +427,8 @@ def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op):
 
 def _reference_apply(block, n, op):
     """One gate by its defining arithmetic: XOR-mask index gathers for X and
-    MCX, a +-1 sign-array multiply for MCZ, paired sums for H."""
+    MCX, the hit columns of a copy multiplied by -1.0 for MCZ, paired sums
+    for H."""
     index = np.arange(1 << n)
 
     def mask(qubits):
@@ -435,8 +440,9 @@ def _reference_apply(block, n, op):
         hit = (index & mask(op.controls)) == mask(op.controls)
         return block[:, np.where(hit, index ^ mask([op.target]), index)]
     if op.kind == "MCZ":
-        hit = (index & mask(op.controls)) == mask(op.controls)
-        return block * np.where(hit, -1.0, 1.0)
+        out = block.copy()
+        out[:, (index & mask(op.controls)) == mask(op.controls)] *= -1.0
+        return out
     out = block.copy()
     view = out.reshape(len(out), 1 << op.target, 2, -1)
     zero, one = view[:, :, 0, :], view[:, :, 1, :]
@@ -475,8 +481,7 @@ def _assert_matches_reference(n, rows, ops, seed):
     expected = block.copy()
     for op in ops:
         expected = _reference_apply(expected, n, op)
-    # gate by gate, and the whole list in one call, whose runs of
-    # tile-local gates share one walk
+    # gate by gate, and the gate list in one call
     one_call = block.copy()
     for op in ops:
         _apply_inplace(block, n, (op,))
@@ -511,6 +516,25 @@ def test_kernels_match_reference_bytes_across_tiles_property(monkeypatch, data):
     # offset.
     monkeypatch.setattr(statevector, "_TILE", 16)
     _assert_matches_reference(*_draw_case(data))
+
+
+@pytest.mark.parametrize("tile", [statevector._TILE, 16])
+@pytest.mark.parametrize(
+    "op",
+    [mcz([0, 3]), mcz([4]), mcz(range(5)), mcx([0, 3], 1), mcx([4], 0), mcx([1], 4)],
+    ids=repr,
+)
+def test_gates_leave_the_amplitudes_they_do_not_act_on_untouched(monkeypatch, tile, op):
+    monkeypatch.setattr(statevector, "_TILE", tile)
+    n = 5
+    rng = np.random.default_rng(5)
+    amps = np.empty(1 << n, dtype=np.complex128)
+    amps.real, amps.imag = rng.choice([-0.0, -0.5, 0.5], size=(2, 1 << n))
+    before = amps.copy()
+    _apply_inplace(amps, n, (op,))
+    control_mask = sum(1 << (n - 1 - q) for q in op.controls)
+    alone = (np.arange(1 << n) & control_mask) != control_mask
+    assert amps[alone].tobytes() == before[alone].tobytes()
 
 
 def test_kernels_match_reference_bytes_at_20_qubits():
