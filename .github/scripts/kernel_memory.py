@@ -1,0 +1,34 @@
+"""Kernel scratch memory on a state at the qubit cap, against its tile bound.
+
+    python .github/scripts/kernel_memory.py
+
+One gate of each kind on a 256 MB state: its scratch stays within one tile
+(two for H, whose in-place add numpy copies through, and none for MCZ,
+which negates its hit states in place), as tests/test_statevector.py
+checks at 18 qubits. Then a gate list, within two tiles. How numpy
+buffers an in-place ufunc on a strided view depends on its version, so
+this runs on every numpy the workflow tests. Exits non-zero naming the
+first gate list over its bound.
+"""
+
+import sys
+import tracemalloc
+
+from qperc import statevector as sv
+
+n = sv.MAX_QUBITS
+amps = sv.new_zero_state(n).amplitudes
+tile = sv._TILE * amps.itemsize
+run = [sv.h(n - 1), sv.x(n - 2), sv.h(n - 3), sv.mcz([0, n - 1]), sv.mcx([1, 2], n - 1)]
+cases = [(op,) for op in (sv.h(n - 4), sv.x(0), sv.mcz([0]), sv.mcx([0], n - 1))]
+for ops in cases + [run]:
+    tracemalloc.start()
+    sv._apply_inplace(amps, n, ops)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    kinds = {op.kind for op in ops}
+    tiles = 2 if "H" in kinds else 0 if kinds == {"MCZ"} else 1
+    bound = tiles * tile + 2**14
+    print(f"{ops}: peak {peak} bytes, bound {bound}, state {amps.nbytes}")
+    if peak > bound:
+        sys.exit(f"{ops}: scratch peak {peak} bytes is over its bound {bound}")

@@ -15,22 +15,34 @@ import numpy as np
 
 
 @contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise an OSError as one naming `path`, not the temp file beside it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
+@contextmanager
 def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file whose contents appear at `path` only if the block succeeds.
 
     The temp file is deleted when the block raises, so a failed write never
-    leaves a partial file at `path`.
+    leaves a partial file at `path`. An OSError from creating the temp file
+    or renaming it onto `path` names `path`.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent if str(path.parent) else ".",
-        prefix=path.name + ".",
-        suffix=".tmp",
-    )
+    with _naming(path):
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent if str(path.parent) else ".",
+            prefix=path.name + ".",
+            suffix=".tmp",
+        )
     try:
         with os.fdopen(fd, "wb") as f:
             yield f
-        os.replace(tmp, path)
+        with _naming(path):
+            os.replace(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)

@@ -41,20 +41,22 @@ other ancilla-1 amplitudes exact zeros. It runs no gate and builds no
 Each row's P equals, bit for bit, the P of its full gate-by-gate circuit
 (74 gates per input on average against weight 626 at n=4), so exact-mode
 outputs do not depend on how inputs are batched. The per-call cost is one
-vectorised range check each for the inputs and the weights (a one-row n=4
-`measure` takes about 50 us on a 2-core Xeon); the per-row cost is one
-sign row and about 2m float operations, in blocks of up to BLOCK_ROWS
-rows, so each step is one numpy call per block. Sampled mode adds one
-call of `statevector.sample_rates` per block: it hashes each row's key to
-a uniform and reads the row's hit count off one inverse binomial CDF
-table per distinct P. The call's blocks share one dict of tables, so each
+`check_value` each for the inputs and the weight, then held as uint16
+arrays with the weight broadcast to the inputs' shape, so one weight and
+a weight per input share one path (a one-row n=4 `measure` takes about
+60 us on a 2-core Xeon); the per-row cost is one sign row and about 2m
+float operations, in blocks of up to BLOCK_ROWS rows, so each step is one
+numpy call per block. Sampled mode adds one call of
+`statevector.sample_rates` per block: it hashes each row's key to a
+uniform and reads the row's hit count off one inverse binomial CDF table
+per distinct P. The call's blocks share one dict of tables, so each
 table is built once per call, when a row first needs it; a block's size
 bounds the uniforms as it bounds the amplitudes, and the tables are at most
 one per distinct P of the circuit (13 at n=4).
 
 `check_n` is the single range rule for n and `check_value`, which calls
-it first, the one for encoded values; the dataset, training, rendering and
-CLI layers all call them.
+it first, the one for encoded values, alone or in a column; the dataset,
+training, rendering and CLI layers all call them.
 """
 
 from __future__ import annotations
@@ -121,16 +123,25 @@ def check_n(n: int) -> None:
         raise ValueError(f"n must be between 1 and {MAX_DATA_QUBITS}, got {n}")
 
 
-def check_value(value: int, n: int, what: str) -> int:
-    """Return m = 2^n, or raise ValueError naming `what` if value >= 2^m or < 0.
+def check_value(value: int | Sequence[int], n: int, what: str) -> int:
+    """Return m = 2^n, or raise ValueError naming `what` and the first of
+    `value` (one value, or a sequence or 1-D array of them) outside [0, 2^m).
 
-    n is checked first, so a large n raises before 2^(2^n) is built.
+    n is checked first, so a large n raises before 2^(2^n) is built. The
+    test reads "not inside" so that NaN fails it; ints past int64 make an
+    object array, which compares like the ints it holds.
     """
     check_n(n)
     m = 1 << n
-    if not 0 <= value < (1 << m):
+    array = np.asarray(value)
+    with np.errstate(invalid="ignore"):  # NaN in an object array warns
+        outside = ~((array >= 0) & (array < 1 << m))
+    if outside.any():
+        # Index the caller's column, not the array: a list mixing -1 and
+        # 2^63 becomes float64 and would print -1 as -1.0.
+        bad = value[int(np.argmax(outside))] if array.ndim else value
         raise ValueError(
-            f"{what} must be in [0, {(1 << m) - 1}] for n={n}, got {value}"
+            f"{what} must be in [0, {(1 << m) - 1}] for n={n}, got {bad}"
         )
     return m
 
@@ -189,21 +200,6 @@ def _sign_rows(values: np.ndarray, m: int) -> np.ndarray:
     return 1.0 - 2.0 * (bits & 1)
 
 
-def _check_values(values: Sequence[int], n: int, what: str) -> np.ndarray:
-    """The values as an integer array, range-checked by one check_value call.
-
-    The call gets the first value out of range, so the error names it as a
-    per-value check would, or the first value when all are in range. An
-    integer array is used as it is; ints past int64 make an object array,
-    which compares like the ints it holds.
-    """
-    array = np.asarray(values)
-    if len(array):
-        outside = (array < 0) | (array >= 1 << (1 << n))
-        check_value(values[int(np.argmax(outside))], n, what)
-    return array
-
-
 def measure_many(
     inputs: Iterable[int],
     weight: int | Sequence[int],
@@ -223,17 +219,15 @@ def measure_many(
     n = config.n
     if not isinstance(inputs, (np.ndarray, Sequence)):
         inputs = list(inputs)
-    values = _check_values(inputs, n, "input value")
-    if np.ndim(weight) == 0:
-        check_value(weight, n, "weight")
-        # a numpy scalar, which has the array attributes used below
-        weights = np.int64(weight)
-    else:
-        weights = _check_values(weight, n, "weight")
-        if len(weights) != len(values):
-            raise ValueError(
-                f"got {len(weights)} weights for {len(values)} inputs"
-            )
+    check_value(inputs, n, "input value")
+    check_value(weight, n, "weight")
+    # Every in-range value is below 2^16, so uint16 holds inputs, weights
+    # and their XOR whatever integer type the caller used.
+    values = np.asarray(inputs, dtype=np.uint16)
+    weights = np.asarray(weight, dtype=np.uint16)
+    if weights.ndim and len(weights) != len(values):
+        raise ValueError(f"got {len(weights)} weights for {len(values)} inputs")
+    weights = np.broadcast_to(weights, values.shape)
     m = 1 << n
     # Every data amplitude after the H layer, multiplied as the H kernel
     # does, one qubit at a time: 2 ** (-n / 2) differs in the last bit.
@@ -244,12 +238,7 @@ def measure_many(
     tables = {}
     for start in range(0, len(values), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        # int64 whatever the callers' integer type: every in-range value
-        # is below 2^16, and uint64 ^ int64 has no numpy loop.
-        chunk = values[rows].astype(np.int64, copy=False)
-        chunk_weights = (
-            weights[rows].astype(np.int64, copy=False) if weights.ndim else weights
-        )
+        chunk, chunk_weights = values[rows], weights[rows]
         v = a * _sign_rows(chunk ^ chunk_weights, m)
         # The readout's light cone: the H layer's zero halves, qubit 0
         # first, with the H kernel's add and then scale.
@@ -258,11 +247,7 @@ def measure_many(
             v = (v[:, 0, :] + v[:, 1, :]) * _INV_SQRT2
         probs[rows] = v[:, 0] ** 2
         if config.mode == "sampled":
-            key = [
-                config.seed,
-                chunk.astype(np.uint64),
-                chunk_weights.astype(np.uint64),
-            ]
+            key = [config.seed, chunk, chunk_weights]
             if epoch:
                 key.append(epoch)
             probs[rows] = sample_rates(probs[rows], config.shots, key, tables)

@@ -353,11 +353,11 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def _uniforms(key: Sequence[int | np.ndarray], rows: int) -> np.ndarray:
     """One uniform in [0, 1) per row, hashed from the row's key words.
 
-    A word is a non-negative int shared by every row or a uint64 array with
-    one entry per row. Each word is folded in as its count of 64-bit limbs
-    and then its limbs, least significant first, so a word of any size
-    (config.seed has no bound) gets a key of its own, and an array entry
-    folds exactly like the int of the same value.
+    A word is a non-negative int shared by every row or an unsigned integer
+    array with one entry per row. Each word is folded in as its count of
+    64-bit limbs and then its limbs, least significant first, so a word of
+    any size (config.seed has no bound) gets a key of its own, and an array
+    entry folds exactly like the int of the same value.
     """
     h = np.zeros(1, dtype=np.uint64)
     for word in key:

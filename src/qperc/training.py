@@ -45,7 +45,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, get_type_hints
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -284,23 +284,24 @@ def save_trace(steps: Iterable[TrainStep], path: str | Path) -> None:
             write(step)
 
 
-# The JSON types a record may use for each TrainStep annotation; bool is
-# excluded from the numbers on purpose.
-_STEP_TYPES = get_type_hints(TrainStep)
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
-
-
 def _field_error(name: str, value: object) -> str | None:
-    """Why `value` cannot be the TrainStep field `name`, or None if it can."""
-    hint = _STEP_TYPES[name]
+    """Why `value` cannot be the TrainStep field `name`, or None if it can.
+
+    type(), not isinstance, so JSON true/false is no number; p1 may exceed
+    1 by the 1e-9 load_dataset allows, and NaN and infinities fail its test.
+    """
     if name == "action":
         ok, want = value in ACTIONS, f"one of {list(ACTIONS)}"
-    elif hint in _JSON_TYPES:
-        types, want = _JSON_TYPES[hint]
-        ok = type(value) in types
-    else:  # tuple[int, ...], stored as a JSON list
-        ok = type(value) is list and all(type(p) is int for p in value)
-        want = "a list of integers"
+    elif name == "p1":
+        ok = type(value) in (int, float) and 0.0 <= value <= 1.0 + 1e-9
+        want = "a number in [0, 1]"
+    elif name in ("predicted", "actual"):
+        ok, want = type(value) is int and value in (0, 1), "0 or 1"
+    elif name == "flipped_positions":
+        ok = type(value) is list and all(type(p) is int and p >= 0 for p in value)
+        want = "a list of non-negative integers"
+    else:  # epoch, example_value, weight_before, weight_after
+        ok, want = type(value) is int and value >= 0, "a non-negative integer"
     return None if ok else f"field {name!r} must be {want}, got {value!r}"
 
 

@@ -401,6 +401,51 @@ def test_train_failure_partway_leaves_no_trace_file(tmp_path, capsys, monkeypatc
     assert set(tmp_path.iterdir()) == before
 
 
+def _assert_write_fails_naming(capsys, tmp_path, out, *argv):
+    """The command exits 2, its error names `out` and no temp file, and it
+    leaves tmp_path as it found it."""
+    before = set(tmp_path.rglob("*"))
+    assert run_cli(*argv, str(out)) == 2
+    err = capsys.readouterr().err
+    assert repr(str(out)) in err
+    assert ".tmp" not in err
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_gen_data_into_a_missing_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "data.csv"
+    _assert_write_fails_naming(
+        capsys, tmp_path, out, "gen-data", "--n", "2", "--weight", "12", "--out"
+    )
+
+
+def test_gen_data_onto_a_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "adir"
+    out.mkdir()
+    _assert_write_fails_naming(
+        capsys, tmp_path, out, "gen-data", "--n", "2", "--weight", "12", "--out"
+    )
+
+
+def test_render_pgm_into_a_missing_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.pgm"
+    _assert_write_fails_naming(
+        capsys, tmp_path, out,
+        "render", "--value", "3", "--n", "1", "--rows", "1", "--cols", "2",
+        "--format", "pgm", "--out",
+    )
+
+
+def test_train_trace_into_a_missing_directory_names_the_path(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(data)) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "trace.jsonl"
+    _assert_write_fails_naming(
+        capsys, tmp_path, out, "train", "--data", str(data), "--trace-out"
+    )
+
+
 def test_render_ascii_to_stdout(capsys):
     assert run_cli("render", "--value", "12", "--n", "2") == 0
     assert capsys.readouterr().out == "██\n··\n"

@@ -4,10 +4,12 @@ Each property starts from a file the matching writer produced and damages
 it, either byte by byte or by putting an arbitrary JSON value in one field
 of a JSON record. DatasetFormatError is a ValueError, so the loaders may
 raise either; a TypeError, KeyError or IndexError fails the property. A
-trace field given a value of the wrong type must raise, naming the field.
+trace field given a value of the wrong type, or out of its range, must
+raise, naming the field.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -143,6 +145,47 @@ def test_load_trace_rejects_wrongly_typed_fields_naming_them(data):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line {row + 1}: field '{name}'"):
             load_trace(path)
+
+
+def _trace_with(path, name, value):
+    """A saved trace whose second record holds `value` in field `name`."""
+    save_trace(_TRACE, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[name] = value
+    lines[1] = json.dumps(record)  # writes NaN and Infinity as JSON extensions
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("p1", 5.0),
+        ("p1", float("nan")),
+        ("p1", float("inf")),
+        ("p1", -0.25),
+        ("predicted", 7),
+        ("actual", -1),
+        ("epoch", -1),
+        ("example_value", -3),
+        ("weight_before", -1),
+        ("weight_after", -2),
+        ("flipped_positions", [0, -1]),
+    ],
+)
+def test_load_trace_rejects_out_of_range_values_naming_them(tmp_path, name, value):
+    path = tmp_path / "trace.jsonl"
+    _trace_with(path, name, value)
+    message = f"^{re.escape(str(path))}: line 2: field '{name}' must be "
+    with pytest.raises(ValueError, match=message):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("p1", [0, 1, 1.0 + 1e-10])
+def test_load_trace_takes_p1_within_the_dataset_slack(tmp_path, p1):
+    path = tmp_path / "trace.jsonl"
+    _trace_with(path, "p1", p1)
+    assert load_trace(path)[1].p1 == p1
 
 
 # A form feed, which str.splitlines would also break at, does not move the

@@ -2,7 +2,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
@@ -239,6 +239,41 @@ def test_check_value_bounds_and_message():
     for bad in (-1, 16):
         with pytest.raises(ValueError, match=r"--input must be in \[0, 15\] for n=2"):
             check_value(bad, 2, "--input")
+
+
+_ANY_INT = st.integers(-5, 1 << 17) | st.integers(-(1 << 70), 1 << 70)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.lists(_ANY_INT, max_size=8))
+@example(2, [5, -1, 1 << 63])  # numpy makes this list float64
+def test_check_value_on_a_column_is_the_scalar_check_of_its_first_bad_value(n, values):
+    m = 1 << n
+    bad = [v for v in values if not 0 <= v < 1 << m]
+    if not bad:
+        assert check_value(values, n, "weight") == m
+        return
+    with pytest.raises(ValueError) as scalar:
+        check_value(bad[0], n, "weight")
+    with pytest.raises(ValueError) as column:
+        check_value(values, n, "weight")
+    assert str(column.value) == str(scalar.value)
+
+
+def test_check_value_refuses_nan_alone_and_in_a_column():
+    nan = float("nan")
+    message = r"^weight must be in \[0, 15\] for n=2, got nan$"
+    for value in (nan, [1, nan, 2], np.array([3.0, nan]), [2, nan, 1 << 70]):
+        with pytest.raises(ValueError, match=message):
+            check_value(value, 2, "weight")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_measure_many_takes_a_generator_and_a_0d_weight(mode):
+    config = PerceptronConfig(n=3, mode=mode, shots=64, seed=3)
+    expected = measure_many(list(range(0, 256, 3)), 77, config, 2).tobytes()
+    generated = (i for i in range(0, 256, 3))
+    assert measure_many(generated, np.array(77), config, 2).tobytes() == expected
 
 
 @st.composite
