@@ -3,11 +3,12 @@
     python .github/scripts/kernel_memory.py
 
 One gate of each kind on a 256 MB state: its scratch stays within one tile
-(two for H, whose in-place add numpy copies through, and none for MCZ,
-which negates its hit states in place), as tests/test_statevector.py
-checks at 18 qubits. Then a gate list, within two tiles. How numpy
-buffers an in-place ufunc on a strided view depends on its version, so
-this runs on every numpy the workflow tests. Exits non-zero naming the
+(X, like MCX, copies one tile; two for H, whose in-place add numpy copies
+through, and none for MCZ, which negates its hit states in place), as
+tests/test_statevector.py checks at 18 qubits. X runs at both ends of
+the register, at strides 2^23 and 1. Then a gate list, within two tiles.
+How numpy buffers an in-place ufunc on a strided view depends on its
+version, so this runs on every numpy the workflow tests. Exits non-zero naming the
 first gate list over its bound.
 """
 
@@ -20,7 +21,9 @@ n = sv.MAX_QUBITS
 amps = sv.new_zero_state(n).amplitudes
 tile = sv._TILE * amps.itemsize
 run = [sv.h(n - 1), sv.x(n - 2), sv.h(n - 3), sv.mcz([0, n - 1]), sv.mcx([1, 2], n - 1)]
-cases = [(op,) for op in (sv.h(n - 4), sv.x(0), sv.mcz([0]), sv.mcx([0], n - 1))]
+cases = [
+    (op,) for op in (sv.h(n - 4), sv.x(0), sv.x(n - 1), sv.mcz([0]), sv.mcx([0], n - 1))
+]
 for ops in cases + [run]:
     tracemalloc.start()
     sv._apply_inplace(amps, n, ops)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_12g, read_lines
+from .ioutil import atomic_write_text, format_12g, is_probability, read_lines
 from .perceptron import MODES, PerceptronConfig, check_value, measure_many
 
 CSV_HEADER = "value,label,probability"
@@ -178,7 +178,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"{path}: line {lineno}: field 'probability': "
                 f"not a number: {fields[2]!r}"
             ) from None
-        if not 0.0 <= probability <= 1.0 + 1e-9:
+        if not is_probability(probability):
             raise DatasetFormatError(
                 f"{path}: line {lineno}: field 'probability': "
                 f"out of [0, 1]: {probability}"

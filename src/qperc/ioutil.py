@@ -1,6 +1,6 @@
 """Atomic file writes (temp file in the destination directory, then
-rename), UTF-8 reads whose errors name the line, and the
-12-significant-digit text that files store probabilities in.
+rename), UTF-8 reads whose errors name the line, and the range and
+12-significant-digit text of the probabilities that files store.
 """
 
 from __future__ import annotations
@@ -100,3 +100,9 @@ def round_12g(values: np.ndarray) -> np.ndarray:
     """float(format(p, ".12g")) for every value, in the shape of values."""
     texts, index = format_12g(values)
     return np.array([float(t) for t in texts])[index]
+
+
+def is_probability(p: float | np.ndarray) -> bool | np.ndarray:
+    """Whether p (or each entry of it) is in [0, 1 + 1e-9], the range every
+    loader takes, as summed squares can overshoot 1; NaN is outside."""
+    return (p >= 0.0) & (p <= 1.0 + 1e-9)

@@ -3,10 +3,11 @@
 Amplitude indexing is MSB-first: qubit 0 owns the most significant bit of
 the basis index, so an n-qubit register stores |b0 b1 ... b_{n-1}> at index
 b0 * 2^(n-1) + b1 * 2^(n-2) + ... + b_{n-1}. The gate set is H, X, MCZ
-(multi-controlled Z, symmetric in its qubits) and MCX (multi-controlled X).
-All four are self-inverse and norm-preserving. Every gate kernel acts on
-the last axis, so on a block of states, one per row, each row gets the
-arithmetic `run_circuit` gives a single state.
+(multi-controlled Z, symmetric in its qubits) and MCX (multi-controlled X;
+the kernels run X as an MCX with no controls). All four are self-inverse
+and norm-preserving. Every gate kernel acts on the last axis, so on a
+block of states, one per row, each row gets the arithmetic `run_circuit`
+gives a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
 no arrays. Each gate walks the state once, in tiles of 2^14 amplitudes
@@ -192,7 +193,7 @@ class _Gate(NamedTuple):
     width is the target's stride s (the last qubit's for MCZ) when a
     (zero, one) pair fits in a tile, else half a tile; fixed is the mask of
     the controls whose bit a tile's offset fixes; shape, hit and source
-    index MCZ's and MCX's cube.
+    index the cube of X, MCZ and MCX.
     """
 
     kind: str
@@ -210,7 +211,7 @@ def _prepare(op: GateOp, n: int) -> _Gate:
     target = n - 1 if op.target is None else op.target
     s = 1 << (n - 1 - target)
     width = min(s, _TILE // 2)
-    if op.kind in ("H", "X"):
+    if op.kind == "H":
         return _Gate(op.kind, s, width)
     # The cube's axes: rows, then the target when a tile is two chunks,
     # then qubits `low` to n-1, whose bits vary in one chunk.
@@ -225,7 +226,7 @@ def _prepare(op: GateOp, n: int) -> _Gate:
             index[1 + split + q - low] = 1
     shape = (-1,) + (2,) * (len(index) - 1)
     hit = tuple(index)
-    if op.kind == "MCX":
+    if op.kind != "MCZ":
         index[1 if split else 1 + target - low] = slice(None, None, -1)
     return _Gate(op.kind, s, width, fixed, shape, hit, tuple(index))
 
@@ -253,45 +254,36 @@ def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> 
 def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
     """Apply one gate to one (pairs, 2, width) tile, first amplitude at `offset`.
 
-    H and X work on the tile's zero and one halves: for a stride s of at
-    most 4, where the tile is contiguous, the 1-D strided views
-    tile[j::2s] and tile[s+j::2s] of the flat tile, one pair per j, so
-    numpy's inner loops run half the tile over s, not s amplitudes; else
-    tile[:, 0] and tile[:, 1]. H's difference is half a tile, beside, when
-    s > 4 and a tile holds several pairs, the three half-tile buffers numpy
-    copies its in-place add through, as it cannot rule out overlap between
-    the halves. X's swap copy is half a tile, and so, when s > 4, is the
-    buffer numpy copies the one half through.
+    H alone works on the tile's zero and one halves: for a stride s of at
+    most 4, the 1-D strided views tile[:, 0, j] and tile[:, 1, j], one pair
+    per j, so numpy's inner loops run half the tile over s, not s
+    amplitudes; else tile[:, 0] and tile[:, 1]. Its difference is half a
+    tile, beside, when s > 4 and a tile holds several pairs, the three
+    half-tile buffers numpy copies its in-place add through, as it cannot
+    rule out overlap between the halves.
 
-    MCZ and MCX see a tile as a cube with one size-2 axis per qubit whose
-    bit varies inside it (qubit 0 first, after one leading axis). The
-    tile's offset fixes every other qubit, so a tile where such a control
-    is 0 holds no state the gate acts on and is left alone. MCZ negates
-    its hit states in place, through numpy's two ufunc buffers of at most
-    half a tile each when the hit does not flatten to one stride; MCX's
-    hit copy is at most a tile.
+    X, MCZ and MCX see a tile as a cube with one size-2 axis per qubit
+    whose bit varies inside it (qubit 0 first, after one leading axis); X
+    is an MCX with no controls. The tile's offset fixes every other qubit,
+    so a tile where such a control is 0 holds no state the gate acts on
+    and is left alone. MCZ negates its hit states in place, through
+    numpy's two ufunc buffers of at most half a tile each when the hit
+    does not flatten to one stride; X and MCX copy their hit from the
+    target-reversed source through at most a tile.
     """
-    kind, width = gate.kind, gate.width
-    if kind in ("H", "X"):
-        if width <= 4:
-            flat, step = tile.reshape(-1), 2 * width
-            halves = [(flat[j::step], flat[width + j :: step]) for j in range(width)]
+    if gate.kind == "H":
+        if gate.width <= 4:
+            halves = [(tile[:, 0, j], tile[:, 1, j]) for j in range(gate.width)]
         else:
             halves = [(tile[:, 0], tile[:, 1])]
         for zero, one in halves:
-            if kind == "H":
-                diff = zero - one
-                zero += one
-                one[...] = diff
-            else:
-                swap = zero.copy()
-                zero[...] = one
-                one[...] = swap
-        if kind == "H":
-            tile *= _INV_SQRT2
+            diff = zero - one
+            zero += one
+            one[...] = diff
+        tile *= _INV_SQRT2
     elif (offset & gate.fixed) == gate.fixed:
         cube = tile.reshape(gate.shape)
-        if kind == "MCZ":
+        if gate.kind == "MCZ":
             cube[gate.hit] *= -1.0
         else:
             cube[gate.hit] = cube[gate.source]

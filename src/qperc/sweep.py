@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_12g, read_lines, round_12g
+from .ioutil import atomic_write_text, format_12g, is_probability, read_lines, round_12g
 from .perceptron import PerceptronConfig, closed_form_probability, measure_many
 
 MAX_SWEEP_QUBITS = 3
@@ -99,7 +99,7 @@ def _csv_text(probs: np.ndarray) -> str:
 def load_sweep_csv(path: str | Path) -> np.ndarray:
     """Read back a CSV matrix written by save_sweep; errors name the row.
 
-    Every cell must be a probability in [0, 1].
+    Every cell must pass is_probability, as a dataset's probabilities must.
     """
     lines = read_lines(path)
     if not lines or not lines[0].startswith(","):
@@ -119,7 +119,7 @@ def load_sweep_csv(path: str | Path) -> np.ndarray:
             probs[i] = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}: row {i}: {exc}") from None
-        outside = ~((probs[i] >= 0.0) & (probs[i] <= 1.0))  # nan is outside too
+        outside = ~is_probability(probs[i])
         if outside.any():
             w = int(np.argmax(outside))
             raise ValueError(

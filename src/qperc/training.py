@@ -50,8 +50,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .dataset import Dataset, label_from_probability
-from .ioutil import atomic_writer, read_lines
-from .perceptron import check_value, measure_many
+from .ioutil import atomic_writer, is_probability, read_lines
+from .perceptron import MAX_DATA_QUBITS, check_value, measure_many
 
 ACTIONS = ("none", "flip_non_matching", "flip_matching")
 
@@ -123,12 +123,12 @@ def init_weight(n: int, seed: int) -> int:
 
 
 def count_non_matching_bits(weight: int, value: int, m: int) -> int:
-    """Number of positions, out of m bits, where the two values differ."""
-    limit = 1 << m
-    if not 0 <= weight < limit:
-        raise ValueError(f"weight must be in [0, {limit - 1}], got {weight}")
-    if not 0 <= value < limit:
-        raise ValueError(f"value must be in [0, {limit - 1}], got {value}")
+    """Number of positions, out of m = 2^n bits, where two checked values differ."""
+    n = m.bit_length() - 1
+    if not 1 <= n <= MAX_DATA_QUBITS or m != 1 << n:
+        raise ValueError(f"m must be 2^n for 1 <= n <= {MAX_DATA_QUBITS}, got {m}")
+    check_value(weight, n, "weight")
+    check_value(value, n, "value")
     return (weight ^ value).bit_count()
 
 
@@ -287,13 +287,13 @@ def save_trace(steps: Iterable[TrainStep], path: str | Path) -> None:
 def _field_error(name: str, value: object) -> str | None:
     """Why `value` cannot be the TrainStep field `name`, or None if it can.
 
-    type(), not isinstance, so JSON true/false is no number; p1 may exceed
-    1 by the 1e-9 load_dataset allows, and NaN and infinities fail its test.
+    type(), not isinstance, so JSON true/false is no number; p1 must pass
+    is_probability, as a dataset's probabilities must.
     """
     if name == "action":
         ok, want = value in ACTIONS, f"one of {list(ACTIONS)}"
     elif name == "p1":
-        ok = type(value) in (int, float) and 0.0 <= value <= 1.0 + 1e-9
+        ok = type(value) in (int, float) and is_probability(value)
         want = "a number in [0, 1]"
     elif name in ("predicted", "actual"):
         ok, want = type(value) is int and value in (0, 1), "0 or 1"

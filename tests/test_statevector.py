@@ -394,7 +394,7 @@ def test_kernels_need_at_most_one_state_sized_temporary():
 @pytest.mark.parametrize(
     "op",
     [
-        h(0), h(17), h(16), h(8), x(0), x(17), x(16),
+        h(0), h(17), h(16), h(8), x(0), x(17), x(16), x(8),
         # one qubit, and one control, at either end: the whole tile or
         # every other amplitude of it is hit
         mcz([0]), mcz([17]), mcx([0], 17), mcx([17], 0),

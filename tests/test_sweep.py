@@ -162,6 +162,16 @@ def test_load_sweep_csv_names_file_and_row(tmp_path, text, match):
         load_sweep_csv(path)
 
 
+def test_load_sweep_csv_takes_the_dataset_slack_over_1(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(",0,1\n0,1,0.5\n1,0.5,1.0000000001\n")
+    assert load_sweep_csv(path)[1, 1] == 1.0000000001
+    path.write_text(",0,1\n0,1,0.5\n1,1.000000002,1\n")
+    match = r"p\.csv: row 1: column 0: probability out of \[0, 1\]: 1\.000000002$"
+    with pytest.raises(ValueError, match=match):
+        load_sweep_csv(path)
+
+
 def test_load_sweep_csv_names_the_line_of_a_non_utf8_byte(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b",0,1\n0,1,0.5\n1,0.5,\xff\n")

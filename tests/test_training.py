@@ -78,10 +78,16 @@ def test_count_non_matching_bits():
 
 
 def test_count_non_matching_bits_range_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight .* \[0, 15\] for n=2, got 16$"):
         count_non_matching_bits(16, 0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^value .* \[0, 15\] for n=2, got -1$"):
         count_non_matching_bits(0, -1, 4)
+
+
+@pytest.mark.parametrize("m", [5, 32, 1, 0])
+def test_count_non_matching_bits_takes_only_m_of_a_data_register(m):
+    with pytest.raises(ValueError, match=rf"^m must be 2\^n for 1 <= n <= 4, got {m}$"):
+        count_non_matching_bits(0, 0, m)
 
 
 def test_flip_bits_full_rate_flips_everything():
