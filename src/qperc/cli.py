@@ -3,7 +3,9 @@
 Subcommands: simulate, sweep, gen-data, train, render. Every command is
 deterministic given its full flag set; when --seed is omitted the QPERC_SEED
 environment variable is consulted, and 0 is the fallback. Exit codes: 0 on
-success, 2 for usage or validation problems, 1 for internal errors.
+success, 2 for usage or validation problems, 1 for internal errors. The
+commands check no flag: the library rule that owns it raises, and main()
+puts the flag named by the message's first word before the message.
 """
 
 from __future__ import annotations
@@ -14,23 +16,12 @@ import sys
 
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .ioutil import atomic_write_bytes, atomic_write_text
-from .perceptron import (
-    DEFAULT_SHOTS,
-    MODES,
-    PerceptronConfig,
-    check_n,
-    check_value,
-    measure,
-)
+from .perceptron import DEFAULT_SHOTS, MODES, PerceptronConfig, measure
 from .render import RENDER_FORMATS, pattern_grid, render_ascii, render_pgm
 from .sweep import SWEEP_FORMATS, compute_sweep, save_sweep
 from .training import CONVERGENCE_MODES, TrainConfig, trace_writer, train
 
 ENV_SEED = "QPERC_SEED"
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -42,37 +33,25 @@ def _resolve_seed(flag_value: int | None) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _UsageError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
-# The flag behind each config field a message can name. The seed is left
-# out: it may come from QPERC_SEED, and its message already names it.
+# The flag behind each value name a rule's message starts with. The seed is
+# left out: it may come from QPERC_SEED, and its message already names it.
 _FIELD_FLAGS = {
     "n": "--n",
+    "input": "--input",
+    "weight": "--weight",
+    "optimal": "--optimal-weight",
+    "value": "--value",
     "shots": "--shots",
     "learning_rate": "--lr",
     "max_epochs": "--max-epochs",
 }
 
 
-def _config(make, **values):
-    """Call a config class or a check on flag values.
-
-    Every message either raises starts with the name of the field it
-    rejects; the field's flag is put before it.
-    """
-    try:
-        return make(**values)
-    except ValueError as exc:
-        flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
-        if flag is None:
-            raise
-        raise _UsageError(f"{flag}: {exc}") from None
-
-
 def _perceptron_config(args: argparse.Namespace) -> PerceptronConfig:
-    return _config(
-        PerceptronConfig,
+    return PerceptronConfig(
         n=args.n,
         shots=args.shots,
         mode=args.mode,
@@ -81,10 +60,7 @@ def _perceptron_config(args: argparse.Namespace) -> PerceptronConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _perceptron_config(args)
-    check_value(args.input, args.n, "--input")
-    check_value(args.weight, args.n, "--weight")
-    p = measure(args.input, args.weight, config)
+    p = measure(args.input, args.weight, _perceptron_config(args))
     print(format(p, ".12g"))
     return 0
 
@@ -103,9 +79,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    config = _perceptron_config(args)
-    check_value(args.weight, args.n, "--weight")
-    dataset = generate_dataset(args.weight, config)
+    dataset = generate_dataset(args.weight, _perceptron_config(args))
     save_dataset(dataset, args.out)
     labels = dataset.labels
     print(f"wrote {len(labels)} rows ({int(labels.sum())} labeled 1) to {args.out}")
@@ -114,16 +88,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
-    seed = _resolve_seed(args.seed)
     optimal = args.optimal_weight
     if optimal is None:
         optimal = dataset.optimal_weight
-    check_value(optimal, dataset.config.n, "--optimal-weight")
-    config = _config(
-        TrainConfig,
+    config = TrainConfig(
         learning_rate=args.lr,
         max_epochs=args.max_epochs,
-        seed=seed,
+        seed=_resolve_seed(args.seed),
         convergence_mode=args.convergence,
     )
     if args.trace_out:
@@ -139,8 +110,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    _config(check_n, n=args.n)
-    check_value(args.value, args.n, "--value")
     grid = pattern_grid(args.value, args.n, args.rows, args.cols)
     if args.format == "ascii":
         text = render_ascii(grid)
@@ -229,8 +198,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (_UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        # A rule raises a plain ValueError; a DatasetFormatError starts with a path.
+        flag = type(exc) is ValueError and _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+        print(f"error: {flag}: {exc}" if flag else f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)

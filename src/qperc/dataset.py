@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import atomic_write_text, format_12g, is_probability, read_lines
-from .perceptron import MODES, PerceptronConfig, check_value, measure_many
+from .perceptron import PerceptronConfig, check_value, measure_many
 
 CSV_HEADER = "value,label,probability"
 
@@ -61,8 +61,8 @@ def label_from_probability(probability: float) -> int:
 
 def generate_dataset(optimal_weight: int, config: PerceptronConfig) -> Dataset:
     """Label every value in ascending order against `optimal_weight`."""
-    m = check_value(optimal_weight, config.n, "optimal weight")
-    probabilities = measure_many(np.arange(1 << m), optimal_weight, config)
+    values = np.arange(1 << (1 << config.n))
+    probabilities = measure_many(values, optimal_weight, config)
     return Dataset(config, optimal_weight, probabilities)
 
 
@@ -110,15 +110,13 @@ def _parse_meta(path: Path) -> tuple[PerceptronConfig, int]:
             raise DatasetFormatError(
                 f"{path}: field {key!r} must be an integer, got {meta[key]!r}"
             )
-    if meta["mode"] not in MODES:
-        raise DatasetFormatError(
-            f"{path}: field 'mode' must be one of {MODES}, got {meta['mode']!r}"
-        )
+    # Each message starts with the name of the field it rejects.
     try:
         config = PerceptronConfig(**{key: meta[key] for key in _CONFIG_KEYS})
-        check_value(meta["optimal_weight"], config.n, "field 'optimal_weight'")
+        check_value(meta["optimal_weight"], config.n, "optimal_weight")
     except ValueError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
+        field = str(exc).split(" ", 1)[0]
+        raise DatasetFormatError(f"{path}: field {field!r}: {exc}") from None
     return config, meta["optimal_weight"]
 
 

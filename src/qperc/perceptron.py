@@ -55,8 +55,9 @@ bounds the uniforms as it bounds the amplitudes, and the tables are at most
 one per distinct P of the circuit (13 at n=4).
 
 `check_n` is the single range rule for n and `check_value`, which calls
-it first, the one for encoded values, alone or in a column; the dataset,
-training, rendering and CLI layers all call them.
+it first, the one for encoded values, alone or in a 1-D column. Each
+message starts with the name of the value it rejects; the CLI and the
+dataset sidecar parser name their flag or field from that first word.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def check_n(n: int) -> None:
 
 def check_value(value: int | Sequence[int], n: int, what: str) -> int:
     """Return m = 2^n, or raise ValueError naming `what` and the first of
-    `value` (one value, or a sequence or 1-D array of them) outside [0, 2^m).
+    `value` (one value or a 1-D column) that is not a whole number in [0, 2^m).
 
     n is checked first, so a large n raises before 2^(2^n) is built. The
     test reads "not inside" so that NaN fails it; ints past int64 make an
@@ -134,12 +135,12 @@ def check_value(value: int | Sequence[int], n: int, what: str) -> int:
     check_n(n)
     m = 1 << n
     array = np.asarray(value)
-    with np.errstate(invalid="ignore"):  # NaN in an object array warns
-        outside = ~((array >= 0) & (array < 1 << m))
-    if outside.any():
+    with np.errstate(invalid="ignore"):  # inf % 1 and NaN in an object array warn
+        outside = ~((array >= 0) & (array < 1 << m) & (array % 1 == 0))
+    if array.ndim > 1 or outside.any():
         # Index the caller's column, not the array: a list mixing -1 and
         # 2^63 becomes float64 and would print -1 as -1.0.
-        bad = value[int(np.argmax(outside))] if array.ndim else value
+        bad = value[int(np.argmax(outside))] if array.ndim == 1 else value
         raise ValueError(
             f"{what} must be in [0, {(1 << m) - 1}] for n={n}, got {bad}"
         )

@@ -104,7 +104,13 @@ def load_sweep_csv(path: str | Path) -> np.ndarray:
     lines = read_lines(path)
     if not lines or not lines[0].startswith(","):
         raise ValueError(f"{path}: missing sweep header row")
-    size = len(lines[0].split(",")) - 1
+    header = lines[0].split(",")[1:]
+    size = len(header)
+    for w, text in enumerate(header):
+        if text != str(w):
+            raise ValueError(
+                f"{path}: line 1: column {w}: expected header {str(w)!r}, got {text!r}"
+            )
     if len(lines) != size + 1:
         raise ValueError(f"{path}: expected {size} data rows, got {len(lines) - 1}")
     probs = np.empty((size, size), dtype=np.float64)

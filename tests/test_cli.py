@@ -521,3 +521,77 @@ def test_python_m_qperc_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1\n"
+
+
+# Every flag value a library rule rejects: the rule's own message, with the
+# flag put before it. {data} is an n=2 dataset, {out} a path never written.
+_REJECTED_FLAGS = [
+    (("simulate", "--n", "2", "--input", "16", "--weight", "0"),
+     "--input: input value must be in [0, 15] for n=2, got 16"),
+    (("simulate", "--n", "2", "--input", "0", "--weight", "16"),
+     "--weight: weight must be in [0, 15] for n=2, got 16"),
+    (("simulate", "--n", "5", "--input", "0", "--weight", "0"),
+     "--n: n must be between 1 and 4, got 5"),
+    (("simulate", "--n", "2", "--input", "0", "--weight", "0", "--mode", "sampled",
+      "--shots", "0"),
+     f"--shots: shots must be between 1 and {MAX_SHOTS}, got 0"),
+    (("gen-data", "--n", "2", "--weight", "99", "--out", "{out}"),
+     "--weight: weight must be in [0, 15] for n=2, got 99"),
+    (("train", "--data", "{data}", "--optimal-weight", "99"),
+     "--optimal-weight: optimal weight must be in [0, 15] for n=2, got 99"),
+    (("train", "--data", "{data}", "--lr", "0"),
+     "--lr: learning_rate must be in (0, 1], got 0.0"),
+    (("train", "--data", "{data}", "--max-epochs", "0"),
+     "--max-epochs: max_epochs must be at least 1, got 0"),
+    (("render", "--n", "2", "--value", "16"),
+     "--value: value must be in [0, 15] for n=2, got 16"),
+    (("render", "--n", "5", "--value", "0"),
+     "--n: n must be between 1 and 4, got 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _REJECTED_FLAGS, ids=[m.split(":")[0] for _, m in _REJECTED_FLAGS]
+)
+def test_a_rejected_flag_value_prints_the_flag_then_the_library_message(
+    tmp_path, capsys, argv, message
+):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(data)) == 0
+    capsys.readouterr()
+    argv = [arg.format(data=data, out=tmp_path / "out.csv") for arg in argv]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.meta.json"]
+
+
+def test_messages_naming_no_flag_pass_through_unprefixed(tmp_path, capsys, monkeypatch):
+    simulate = ("simulate", "--n", "2", "--input", "0", "--weight", "1", "--mode", "sampled")
+    monkeypatch.setenv("QPERC_SEED", "lots")
+    assert run_cli(*simulate) == 2
+    assert capsys.readouterr().err == "error: QPERC_SEED must be an integer, got 'lots'\n"
+    monkeypatch.delenv("QPERC_SEED")
+    assert run_cli(*simulate, "--seed", "-1") == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert run_cli("render", "--n", "2", "--value", "3", "--rows", "3", "--cols", "1") == 2
+    assert capsys.readouterr().err == "error: rows*cols must equal 4 for n=2, got 3x1\n"
+    # A dataset error starts with its path, here one whose first word is a
+    # flag's word; no flag is put before it.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", "weight data.csv") == 0
+    Path("weight data.csv").write_text("value,label\n")
+    capsys.readouterr()
+    assert run_cli("train", "--data", "weight data.csv") == 2
+    assert capsys.readouterr().err.startswith("error: weight data.csv: line 1: ")
+
+
+def test_train_rejected_optimal_weight_leaves_no_trace_file(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(data)) == 0
+    before = sorted(tmp_path.iterdir())
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(
+        "train", "--data", str(data), "--optimal-weight", "99", "--trace-out", str(trace)
+    ) == 2
+    assert capsys.readouterr().err.startswith("error: --optimal-weight: ")
+    assert sorted(tmp_path.iterdir()) == before

@@ -306,6 +306,27 @@ def test_load_rejects_sidecar_its_config_rejects(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("optimal_weight", 16, "optimal_weight must be in [0, 15] for n=2, got 16"),
+        ("mode", "fast", "mode must be one of ('exact', 'sampled'), got 'fast'"),
+        ("n", 5, "n must be between 1 and 4, got 5"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+    ],
+)
+def test_sidecar_rule_errors_name_the_field_then_the_rule_message(
+    tmp_path, field, bad, message
+):
+    meta = {"n": 2, "optimal_weight": 0, "mode": "exact", "shots": 8, "seed": 0}
+    meta[field] = bad
+    path = _write_dataset(tmp_path, _valid_rows(), meta=meta)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(path)
+    meta_path = tmp_path / "data.csv.meta.json"
+    assert str(exc.value) == f"{meta_path}: field '{field}': {message}"
+
+
+@pytest.mark.parametrize(
     "field, bad",
     [
         ("n", True),

@@ -1,3 +1,4 @@
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -416,6 +417,25 @@ def test_sampled_epochs_draw_fresh_noise_for_the_same_pairs():
     assert np.mean(first[noisy] != second[noisy]) > 0.8
     assert np.mean(first[noisy] != outside[noisy]) > 0.8
     assert (first[~noisy] == second[~noisy]).all()
+
+
+def test_check_value_refuses_fractions_and_nested_columns():
+    cases = (
+        (1.5, "1.5"), ([1, 2.5], "2.5"), (np.array([3.0, 0.25]), "0.25"),
+        ([2, float("inf")], "inf"), ([[1, 16]], "[[1, 16]]"), ([[1, 2]], "[[1, 2]]"),
+    )
+    for value, shown in cases:
+        message = rf"^weight must be in \[0, 15\] for n=2, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            check_value(value, 2, "weight")
+    config = PerceptronConfig(n=2)
+    for call in (
+        lambda: measure(1.5, 0, config),
+        lambda: measure_many([[1, 2]], 0, config),
+        lambda: closed_form_probability(1.5, 0, 2),
+    ):
+        with pytest.raises(ValueError, match=r"^input value must be in \[0, 15\] for n=2, got "):
+            call()
 
 
 def test_config_validation():

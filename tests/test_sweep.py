@@ -162,6 +162,20 @@ def test_load_sweep_csv_names_file_and_row(tmp_path, text, match):
         load_sweep_csv(path)
 
 
+@pytest.mark.parametrize(
+    "header, column, got",
+    [(",a,b", 0, "a"), (",0,2", 1, "2"), (",0,01", 1, "01"), (",1,0", 0, "1"), (",0,", 1, "")],
+)
+def test_load_sweep_csv_names_line_1_and_the_first_wrong_header_column(
+    tmp_path, header, column, got
+):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,1,0.5\n1,0.5,1\n")
+    match = rf"bad\.csv: line 1: column {column}: expected header '{column}', got '{got}'$"
+    with pytest.raises(ValueError, match=match):
+        load_sweep_csv(path)
+
+
 def test_load_sweep_csv_takes_the_dataset_slack_over_1(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(",0,1\n0,1,0.5\n1,0.5,1.0000000001\n")
