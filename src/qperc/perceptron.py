@@ -168,8 +168,8 @@ def assemble_perceptron_circuit(input_value: int, weight: int, n: int) -> Circui
     check_value(weight, n, "weight")
     ops = (
         [h(q) for q in range(n)]
-        + _sign_flips(input_value, n)
-        + _sign_flips(weight, n)
+        + _sign_flips(int(input_value), n)
+        + _sign_flips(int(weight), n)
         + [h(q) for q in range(n)]
         + [x(q) for q in range(n)]
         + [mcx(range(n), n)]
@@ -186,7 +186,7 @@ def closed_form_probability(input_value: int, weight: int, n: int) -> float:
     """
     m = check_value(input_value, n, "input value")
     check_value(weight, n, "weight")
-    dot = m - 2 * (input_value ^ weight).bit_count()
+    dot = m - 2 * (int(input_value) ^ int(weight)).bit_count()
     return (dot * dot) / (m * m)
 
 

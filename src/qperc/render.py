@@ -37,6 +37,7 @@ def pattern_grid(
     so both dimensions are then required.
     """
     m = check_value(value, n, "value")
+    value = int(value)
     if rows is None and cols is None:
         if n % 2:
             raise ValueError(

@@ -97,13 +97,13 @@ def _csv_text(probs: np.ndarray) -> str:
 
 
 def load_sweep_csv(path: str | Path) -> np.ndarray:
-    """Read back a CSV matrix written by save_sweep; errors name the row.
+    """Read back a CSV matrix written by save_sweep; errors name the line.
 
     Every cell must pass is_probability, as a dataset's probabilities must.
     """
     lines = read_lines(path)
     if not lines or not lines[0].startswith(","):
-        raise ValueError(f"{path}: missing sweep header row")
+        raise ValueError(f"{path}: line 1: missing sweep header row")
     header = lines[0].split(",")[1:]
     size = len(header)
     for w, text in enumerate(header):
@@ -112,23 +112,28 @@ def load_sweep_csv(path: str | Path) -> np.ndarray:
                 f"{path}: line 1: column {w}: expected header {str(w)!r}, got {text!r}"
             )
     if len(lines) != size + 1:
-        raise ValueError(f"{path}: expected {size} data rows, got {len(lines) - 1}")
+        # the line after the last row, or the first row too many
+        lineno = min(len(lines), size + 1) + 1
+        raise ValueError(
+            f"{path}: line {lineno}: expected {size} data rows, got {len(lines) - 1}"
+        )
     probs = np.empty((size, size), dtype=np.float64)
     for i, line in enumerate(lines[1:]):
+        where = f"{path}: line {i + 2}"
         fields = line.split(",")
         if len(fields) != size + 1 or fields[0] != str(i):
             raise ValueError(
-                f"{path}: row {i}: expected header {i} and {size} cells, "
+                f"{where}: expected header {i} and {size} cells, "
                 f"got {fields[0]!r} and {len(fields) - 1}"
             )
         try:
             probs[i] = [float(f) for f in fields[1:]]
         except ValueError as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         outside = ~is_probability(probs[i])
         if outside.any():
             w = int(np.argmax(outside))
             raise ValueError(
-                f"{path}: row {i}: column {w}: probability out of [0, 1]: {probs[i, w]}"
+                f"{where}: column {w}: probability out of [0, 1]: {probs[i, w]}"
             )
     return probs

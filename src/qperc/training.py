@@ -1,19 +1,17 @@
 """Bit-flip training of the perceptron weight.
 
 Each epoch walks the dataset in order. Every example is evaluated against
-the current weight and thresholded at 0.5. On a miss the weight moves:
-
-  predicted 0, actual 1: flip some of the bits where weight and input
-      disagree (pulls the weight toward the input)
-  predicted 1, actual 0: flip some of the bits where they agree (pushes
-      the weight away)
+the current weight and thresholded at 0.5. On a miss the candidates are
+the bits where weight ^ input equals the label: a missed 1 flips bits where
+weight and input disagree ("flip_non_matching", toward the input), a missed
+0 bits where they agree ("flip_matching", away from it).
 
 The flip count is max(1, floor(learning_rate * candidates)), drawn
 uniformly without replacement. A mismatch whose candidate set is empty is
 recorded with action "none" and skipped. Training stops as soon as the
-weight equals the optimal weight ("strict" convergence) or either the
-optimal weight or its bitwise complement ("functional"; the complement
-encodes the negated sign vector, which yields identical probabilities).
+weight is a target: the optimal weight ("strict" convergence), or either
+it or its bitwise complement ("functional"; the complement encodes the
+negated sign vector, which yields identical probabilities).
 
 Bit positions follow the usual integer convention: position 0 is the least
 significant bit. One PCG64 generator seeded with config.seed supplies the
@@ -129,7 +127,7 @@ def count_non_matching_bits(weight: int, value: int, m: int) -> int:
         raise ValueError(f"m must be 2^n for 1 <= n <= {MAX_DATA_QUBITS}, got {m}")
     check_value(weight, n, "weight")
     check_value(value, n, "value")
-    return (weight ^ value).bit_count()
+    return (int(weight) ^ int(value)).bit_count()
 
 
 def flip_bits(
@@ -157,11 +155,6 @@ def flip_bits(
     return new_weight, flipped
 
 
-def _bit_positions(mask: int, m: int) -> list[int]:
-    """The set bit positions of an m-bit mask, ascending."""
-    return [p for p in range(m) if mask >> p & 1]
-
-
 def train(
     dataset: Dataset,
     optimal_weight: int,
@@ -178,22 +171,17 @@ def train(
     """
     measurement = dataset.config
     m = check_value(optimal_weight, measurement.n, "optimal weight")
+    optimal_weight = int(optimal_weight)
     full_mask = (1 << m) - 1
-
-    def converged(w: int) -> bool:
-        if w == optimal_weight:
-            return True
-        return (
-            config.convergence_mode == "functional"
-            and w == (optimal_weight ^ full_mask)
-        )
-
+    targets = {optimal_weight}
+    if config.convergence_mode == "functional":
+        targets.add(optimal_weight ^ full_mask)
     rng = np.random.default_rng(config.seed)
     weight = int(rng.integers(0, 1 << m))
     trace: list[TrainStep] = []
     if on_step is None:
         on_step = trace.append
-    if converged(weight):
+    if weight in targets:
         return TrainResult(True, weight, 0, trace)
 
     labels = dataset.labels.tolist()
@@ -210,21 +198,15 @@ def train(
             for index, p1 in enumerate(probs, start):
                 label = labels[index]
                 predicted = label_from_probability(p1)
-                before = weight
-                action = "none"
+                before, action = weight, "none"
                 flipped: tuple[int, ...] = ()
                 if predicted != label:
-                    if predicted == 0:
-                        candidate_mask = weight ^ index
-                        attempted = "flip_non_matching"
-                    else:
-                        candidate_mask = ~(weight ^ index) & full_mask
-                        attempted = "flip_matching"
-                    candidates = _bit_positions(candidate_mask, m)
-                    if candidates:
-                        action = attempted
+                    mask = weight ^ index ^ (0 if label else full_mask)
+                    if mask:
+                        action = "flip_non_matching" if label else "flip_matching"
+                        positions = [p for p in range(m) if mask >> p & 1]
                         weight, flipped = flip_bits(
-                            weight, candidates, config.learning_rate, rng
+                            weight, positions, config.learning_rate, rng
                         )
                 on_step(
                     TrainStep(
@@ -239,9 +221,9 @@ def train(
                         weight_after=weight,
                     )
                 )
-                if weight != before:
+                if flipped:
                     updates += 1
-                    if converged(weight):
+                    if weight in targets:
                         return TrainResult(True, weight, epoch, trace, updates)
                     rows = LOOKAHEAD_ROWS
                     break

@@ -202,13 +202,13 @@ def test_load_dataset_names_the_line_holding_a_form_feed(tmp_path):
         load_dataset(path)
 
 
-def test_load_sweep_csv_names_the_row_holding_a_form_feed(tmp_path):
+def test_load_sweep_csv_names_the_line_holding_a_form_feed(tmp_path):
     path = tmp_path / "sweep.csv"
     save_sweep(_SWEEP, path)
     lines = path.read_text().split("\n")
-    lines[3] = lines[3].replace(",", "\f,", 1)  # the row of input 2
+    lines[3] = lines[3].replace(",", "\f,", 1)  # line 4, the row of input 2
     path.write_text("\n".join(lines))
-    with pytest.raises(ValueError, match=r"row 2: expected header 2 and 4 cells"):
+    with pytest.raises(ValueError, match=r"line 4: expected header 2 and 4 cells"):
         load_sweep_csv(path)
 
 

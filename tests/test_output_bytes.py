@@ -6,9 +6,10 @@ exact digests were taken from the per-pair circuit loop that measure_many
 replaced. The sampled sweep digest pins the counter-based sampler: its hash
 of (seed, input, weight) and its inverse binomial CDF tables. The sampled
 dataset digest pins the label column and the rows save_dataset builds from
-one suffix per (label, distinct P). The two trace digests pin training: one
-streamed strict n=4 epoch, and 20 epochs on a sampled n=3 dataset, whose
-draws are keyed by the epoch too.
+one suffix per (label, distinct P). The three trace digests pin training:
+one streamed strict n=4 epoch, an n=4 run that converges to the optimal
+weight's complement in the default functional mode, and 20 epochs on a
+sampled n=3 dataset, whose draws are keyed by the epoch too.
 """
 
 import hashlib
@@ -29,6 +30,9 @@ SWEEP_N3_SAMPLED_SEED_12345_CSV_SHA256 = (
 )
 TRAIN_N4_STRICT_EPOCH_TRACE_SHA256 = (
     "4ebee41a4af923dd175d4704cbf2d99c7f1a0091f250af5d05872845df0b6a07"
+)
+TRAIN_N4_FUNCTIONAL_SEED_17_TRACE_SHA256 = (
+    "25c91049102638855d07fa87c583020c769cb9d4ca773b093add40a147a957a8"
 )
 TRAIN_N3_SAMPLED_20_EPOCHS_TRACE_SHA256 = (
     "250aca9ace4eeb78b2f829535da82551bc4d42e84370dd3599007f641d0c5aee"
@@ -73,6 +77,17 @@ def test_train_n4_strict_epoch_trace_bytes(tmp_path, capsys):
     assert main(args + ["--trace-out", str(trace)]) == 0
     assert "epochs run: 1\n" in capsys.readouterr().out
     assert _sha256(trace) == TRAIN_N4_STRICT_EPOCH_TRACE_SHA256
+
+
+def test_train_n4_functional_complement_trace_bytes(tmp_path, capsys):
+    data, trace = tmp_path / "data.csv", tmp_path / "trace.jsonl"
+    assert main(["gen-data", "--n", "4", "--weight", "626", "--out", str(data)]) == 0
+    args = ["train", "--data", str(data), "--seed", "17"]
+    assert main(args + ["--trace-out", str(trace)]) == 0
+    out = capsys.readouterr().out
+    # 64909 is 626 ^ 0xFFFF: the run stops at the complement, 350 updates in.
+    assert "final weight: 64909\nepochs run: 1\nupdates applied: 350\n" in out
+    assert _sha256(trace) == TRAIN_N4_FUNCTIONAL_SEED_17_TRACE_SHA256
 
 
 def test_train_n3_sampled_20_epochs_trace_bytes(tmp_path, capsys):

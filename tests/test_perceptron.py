@@ -7,7 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from qperc import perceptron, statevector
+from qperc import (
+    TrainConfig,
+    count_non_matching_bits,
+    generate_dataset,
+    pattern_grid,
+    perceptron,
+    statevector,
+    train,
+)
 from qperc.perceptron import (
     BLOCK_ROWS,
     MODES,
@@ -436,6 +444,27 @@ def test_check_value_refuses_fractions_and_nested_columns():
     ):
         with pytest.raises(ValueError, match=r"^input value must be in \[0, 15\] for n=2, got "):
             call()
+
+
+@pytest.mark.parametrize(
+    "whole", [2.0, np.float64(2.0), np.int64(2)], ids=["float", "float64", "int64"]
+)
+def test_owners_of_a_whole_value_give_its_int_result(whole):
+    # check_value admits any whole number; each owner computes on its int.
+    assert closed_form_probability(whole, 0, 2) == closed_form_probability(2, 0, 2)
+    assert closed_form_probability(0, whole, 2) == closed_form_probability(0, 2, 2)
+    assert assemble_perceptron_circuit(whole, whole, 2) == (
+        assemble_perceptron_circuit(2, 2, 2)
+    )
+    grid = pattern_grid(whole, 2)
+    assert grid == pattern_grid(2, 2)
+    assert {type(bit) for row in grid.cells for bit in row} == {int}
+    assert type(grid.value) is int
+    assert count_non_matching_bits(whole, 0, 4) == 1
+    assert count_non_matching_bits(0, whole, 4) == 1
+    dataset = generate_dataset(12, PerceptronConfig(n=2))
+    config = TrainConfig(seed=5)  # functional: the complement of 12 is a target
+    assert train(dataset, whole * 6, config) == train(dataset, 12, config)
 
 
 def test_config_validation():

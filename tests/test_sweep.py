@@ -146,16 +146,20 @@ def test_load_sweep_csv_rejects_garbage(tmp_path):
 @pytest.mark.parametrize(
     "text, match",
     [
-        (",0,1\n0,1,x\n1,0.5,1\n", r"bad\.csv: row 0: could not convert string to float: 'x'"),
-        (",0,1\n0,1,0.5\nx,0.5,1\n", r"bad\.csv: row 1: expected header 1 and 2 cells, got 'x'"),
-        (",0,1\n0,1,nan\n1,0.5,1\n", r"bad\.csv: row 0: column 1: probability out of \[0, 1\]: nan"),
-        (",0,1\n0,1,0.5\n1,-3,1\n", r"bad\.csv: row 1: column 0: probability out of \[0, 1\]: -3\.0"),
-        (",0,1\n0,inf,0.5\n1,0.5,1\n", r"bad\.csv: row 0: column 0: probability out of \[0, 1\]: inf"),
-        (",0,1\n0,1,0.5\n1,0.5,1e300\n", r"bad\.csv: row 1: column 1: probability out of \[0, 1\]: 1e\+300"),
-        (",0,1\n0,1,0.5\n1,0.5,-inf\n", r"bad\.csv: row 1: column 1: probability out of \[0, 1\]: -inf"),
+        (",0,1\n0,1,x\n1,0.5,1\n", r"bad\.csv: line 2: could not convert string to float: 'x'"),
+        (",0,1\n0,1,0.5\nx,0.5,1\n", r"bad\.csv: line 3: expected header 1 and 2 cells, got 'x'"),
+        (",0,1\n0,1,nan\n1,0.5,1\n", r"bad\.csv: line 2: column 1: probability out of \[0, 1\]: nan"),
+        (",0,1\n0,1,0.5\n1,-3,1\n", r"bad\.csv: line 3: column 0: probability out of \[0, 1\]: -3\.0"),
+        (",0,1\n0,inf,0.5\n1,0.5,1\n", r"bad\.csv: line 2: column 0: probability out of \[0, 1\]: inf"),
+        (",0,1\n0,1,0.5\n1,0.5,1e300\n", r"bad\.csv: line 3: column 1: probability out of \[0, 1\]: 1e\+300"),
+        (",0,1\n0,1,0.5\n1,0.5,-inf\n", r"bad\.csv: line 3: column 1: probability out of \[0, 1\]: -inf"),
+        ("", r"bad\.csv: line 1: missing sweep header row$"),
+        ("0,1\n", r"bad\.csv: line 1: missing sweep header row$"),
+        (",0,1\n0,1,0.5\n", r"bad\.csv: line 3: expected 2 data rows, got 1$"),
+        (",0,1\n0,1,0.5\n1,0.5,1\n2,1,1\n", r"bad\.csv: line 4: expected 2 data rows, got 3$"),
     ],
 )
-def test_load_sweep_csv_names_file_and_row(tmp_path, text, match):
+def test_load_sweep_csv_names_file_and_line(tmp_path, text, match):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=match):
@@ -181,7 +185,7 @@ def test_load_sweep_csv_takes_the_dataset_slack_over_1(tmp_path):
     path.write_text(",0,1\n0,1,0.5\n1,0.5,1.0000000001\n")
     assert load_sweep_csv(path)[1, 1] == 1.0000000001
     path.write_text(",0,1\n0,1,0.5\n1,1.000000002,1\n")
-    match = r"p\.csv: row 1: column 0: probability out of \[0, 1\]: 1\.000000002$"
+    match = r"p\.csv: line 3: column 0: probability out of \[0, 1\]: 1\.000000002$"
     with pytest.raises(ValueError, match=match):
         load_sweep_csv(path)
 

@@ -467,6 +467,26 @@ def test_train_equals_per_example_reference_n3(measurement, convergence):
         assert result.updates == sum(s.action != "none" for s in result.trace)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_train_equals_per_example_reference_property(data):
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    weight = data.draw(st.integers(0, (1 << (1 << n)) - 1), label="weight")
+    if data.draw(st.booleans(), label="sampled"):
+        seed = data.draw(st.integers(0, 2**32), label="dataset seed")
+        measurement = PerceptronConfig(n=n, mode="sampled", shots=64, seed=seed)
+    else:
+        measurement = PerceptronConfig(n=n)
+    config = TrainConfig(
+        learning_rate=data.draw(st.floats(0, 1, exclude_min=True), label="lr"),
+        max_epochs=data.draw(st.integers(1, 5), label="max_epochs"),
+        seed=data.draw(st.integers(0, 2**32), label="seed"),
+        convergence_mode=data.draw(st.sampled_from(["strict", "functional"])),
+    )
+    dataset = generate_dataset(weight, measurement)
+    assert train(dataset, weight, config) == reference_train(dataset, weight, config)
+
+
 def test_train_equals_reference_across_look_ahead_blocks(monkeypatch):
     # The first 8,192 n=4 examples, two strict epochs against a target the
     # run never reaches: the second epoch is one look-ahead chunk of 8,192
