@@ -11,7 +11,9 @@ On disk a dataset is a CSV file with header `value,label,probability` plus
 a JSON sidecar at `<path>.meta.json` carrying the optimal weight and the
 fields of the PerceptronConfig that measured it. Probabilities are written
 with 12 significant digits; identical generation settings produce byte
-identical files.
+identical files. `load_dataset` leaves the header, row count, row widths
+and value column to `ioutil.split_table`, the structure reader it shares
+with `sweep.load_sweep_csv`, and checks only labels and probabilities.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import atomic_write_text, format_12g, is_probability, read_lines
+from .ioutil import split_table
 from .perceptron import PerceptronConfig, check_value, measure_many
 
 CSV_HEADER = "value,label,probability"
@@ -124,66 +127,36 @@ def load_dataset(path: str | Path) -> Dataset:
     """Parse and validate a dataset written by save_dataset.
 
     Raises DatasetFormatError naming the offending line and field when the
-    CSV is malformed, a label is not exactly 0 or 1, a label disagrees with
-    its stored probability, or the value column is not the full range in
-    ascending order, written in plain decimal as save_dataset writes it.
+    table is malformed (see split_table), a label is not exactly 0 or 1, or
+    a label disagrees with its stored probability.
     """
     path = Path(path)
     config, optimal_weight = _parse_meta(_meta_path(path))
-    m = 1 << config.n
-    expected_rows = 1 << m
-
     lines = read_lines(path, DatasetFormatError)
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-    if lines[0] != CSV_HEADER:
-        raise DatasetFormatError(
-            f"{path}: line 1: expected header {CSV_HEADER!r}, got {lines[0]!r}"
-        )
-    body = lines[1:]
-    if len(body) != expected_rows:
-        # the line after the last row, or the first row too many
-        lineno = min(len(body), expected_rows) + 2
-        raise DatasetFormatError(
-            f"{path}: line {lineno}: expected {expected_rows} rows for "
-            f"n={config.n}, got {len(body)}"
-        )
-
+    header = CSV_HEADER.split(",")
+    rows = split_table(path, lines, header, 1 << (1 << config.n), DatasetFormatError)
     probabilities = []
-    for row_index, line in enumerate(body):
-        lineno = row_index + 2
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: expected 3 fields, got {len(fields)}"
-            )
-        # Exactly the text save_dataset writes: int() would also take
-        # "+1", " 1", "0_1" and "01".
-        if fields[0] != str(row_index):
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'value': expected "
-                f"{str(row_index)!r} (ascending, gap-free), got {fields[0]!r}"
-            )
-        if fields[1] not in ("0", "1"):
+    for lineno, (_, label, text) in enumerate(rows, 2):
+        if label not in ("0", "1"):
             raise DatasetFormatError(
                 f"{path}: line {lineno}: field 'label': must be '0' or '1', "
-                f"got {fields[1]!r}"
+                f"got {label!r}"
             )
         try:
-            probability = float(fields[2])
+            probability = float(text)
         except ValueError:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: field 'probability': "
-                f"not a number: {fields[2]!r}"
+                f"not a number: {text!r}"
             ) from None
         if not is_probability(probability):
             raise DatasetFormatError(
                 f"{path}: line {lineno}: field 'probability': "
                 f"out of [0, 1]: {probability}"
             )
-        if int(fields[1]) != label_from_probability(probability):
+        if int(label) != label_from_probability(probability):
             raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'label': {fields[1]} disagrees "
+                f"{path}: line {lineno}: field 'label': {label} disagrees "
                 f"with probability {probability}"
             )
         probabilities.append(probability)

@@ -1,6 +1,6 @@
 """Atomic file writes (temp file in the destination directory, then
-rename), UTF-8 reads whose errors name the line, and the range and
-12-significant-digit text of the probabilities that files store.
+rename), UTF-8 reads and CSV table checks whose errors name the line, and
+the range and 12-significant-digit text of the probabilities files store.
 """
 
 from __future__ import annotations
@@ -77,6 +77,45 @@ def read_lines(path: str | Path, error: type[ValueError] = ValueError) -> list[s
     if lines[-1] == "":
         lines.pop()  # the final newline ends the last line; it starts none
     return lines
+
+
+def split_table(
+    path: str | Path, lines: list[str], header: list[str], rows: int, error: type
+) -> Iterator[list[str]]:
+    """The fields of each row of a CSV table whose line 1 is `header`.
+
+    Checks the header, then that `rows` rows follow it, then, as it yields
+    row i (line i + 2), that the row is as wide as the header and starts
+    with str(i). The first fault raises `error` naming its line. Column k
+    is field k + 1, after the row index, in the header as in the rows.
+    """
+    got = (lines or [""])[0].split(",")
+    for k, (want, text) in enumerate(zip(header, got)):
+        if text != want:
+            column = f"column {k - 1}" if k else "row index"
+            raise error(
+                f"{path}: line 1: {column}: expected header {want!r}, got {text!r}"
+            )
+    width = len(header)
+    if len(got) != width:
+        raise error(f"{path}: line 1: expected {width} fields, got {len(got)}")
+    if len(lines) != rows + 1:
+        at = min(len(lines), rows + 1) + 1  # after the last row, or the first extra
+        raise error(f"{path}: line {at}: expected {rows} rows, got {len(lines) - 1}")
+    for i in range(rows):
+        fields = lines[i + 1].split(",")
+        if len(fields) != width:
+            raise error(
+                f"{path}: line {i + 2}: expected {width} fields, got {len(fields)}"
+            )
+        # Exactly the text the writers write: int() would also take "+1",
+        # " 1", "0_1" and "01".
+        if fields[0] != str(i):
+            raise error(
+                f"{path}: line {i + 2}: row index: expected {str(i)!r} "
+                f"(ascending, gap-free), got {fields[0]!r}"
+            )
+        yield fields
 
 
 def format_12g(values: np.ndarray) -> tuple[list[str], np.ndarray]:

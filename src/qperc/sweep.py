@@ -10,7 +10,9 @@ therefore already holds every distinct circuit value of the n = 4 matrix.
 `compute_sweep` makes one `measure_many` call over all size^2 pairs,
 weight-major, one weight per row. Cells are stored at the file format's
 12-significant-digit precision, which makes the saved and in-memory
-matrices agree exactly; each distinct float is formatted once.
+matrices agree exactly; each distinct float is formatted once. A CSV
+matrix is 4, 16 or 256 square, and `load_sweep_csv` reads it through
+`ioutil.split_table`, the structure reader it shares with `load_dataset`.
 
 In exact mode every cell is also checked against the closed-form
 probability and the largest absolute deviation is kept on the result.
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import atomic_write_text, format_12g, is_probability, read_lines, round_12g
+from .ioutil import split_table
 from .perceptron import PerceptronConfig, closed_form_probability, measure_many
 
 MAX_SWEEP_QUBITS = 3
@@ -102,30 +105,13 @@ def load_sweep_csv(path: str | Path) -> np.ndarray:
     Every cell must pass is_probability, as a dataset's probabilities must.
     """
     lines = read_lines(path)
-    if not lines or not lines[0].startswith(","):
-        raise ValueError(f"{path}: line 1: missing sweep header row")
-    header = lines[0].split(",")[1:]
-    size = len(header)
-    for w, text in enumerate(header):
-        if text != str(w):
-            raise ValueError(
-                f"{path}: line 1: column {w}: expected header {str(w)!r}, got {text!r}"
-            )
-    if len(lines) != size + 1:
-        # the line after the last row, or the first row too many
-        lineno = min(len(lines), size + 1) + 1
-        raise ValueError(
-            f"{path}: line {lineno}: expected {size} data rows, got {len(lines) - 1}"
-        )
+    size = lines[0].count(",") if lines else 0
+    if size not in (4, 16, 256):  # 2^(2^n) for n = 1..MAX_SWEEP_QUBITS
+        raise ValueError(f"{path}: line 1: expected 4, 16 or 256 columns, got {size}")
+    header = ["", *map(str, range(size))]
     probs = np.empty((size, size), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
+    for i, fields in enumerate(split_table(path, lines, header, size, ValueError)):
         where = f"{path}: line {i + 2}"
-        fields = line.split(",")
-        if len(fields) != size + 1 or fields[0] != str(i):
-            raise ValueError(
-                f"{where}: expected header {i} and {size} cells, "
-                f"got {fields[0]!r} and {len(fields) - 1}"
-            )
         try:
             probs[i] = [float(f) for f in fields[1:]]
         except ValueError as exc:

@@ -102,6 +102,31 @@ def test_load_sweep_csv_on_corrupted_files_raises_only_value_error(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_damage_inside_one_row_is_named_by_that_rows_line(data):
+    # The same byte edits, kept inside one body row: the file loads, or the
+    # error names that row's line and no other.
+    save, load, table = data.draw(
+        st.sampled_from(
+            [(save_dataset, load_dataset, _DATASET), (save_sweep, load_sweep_csv, _SWEEP)]
+        )
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        save(table, path)
+        lines = path.read_bytes().split(b"\n")[:-1]
+        row = data.draw(st.integers(0, len(lines) - 2))
+        damaged = data.draw(_byte_damage(lines[row + 1]))
+        lines[row + 1] = damaged.replace(b"\n", b"")  # the line count stays
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            load(path)
+        except ValueError as exc:
+            named = re.findall(r": line (\d+): ", str(exc))
+            assert named == [str(row + 2)], str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_load_trace_on_corrupted_files_raises_only_value_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
@@ -208,7 +233,8 @@ def test_load_sweep_csv_names_the_line_holding_a_form_feed(tmp_path):
     lines = path.read_text().split("\n")
     lines[3] = lines[3].replace(",", "\f,", 1)  # line 4, the row of input 2
     path.write_text("\n".join(lines))
-    with pytest.raises(ValueError, match=r"line 4: expected header 2 and 4 cells"):
+    match = r"line 4: row index: expected '2' \(ascending, gap-free\), got '2\\x0c'$"
+    with pytest.raises(ValueError, match=match):
         load_sweep_csv(path)
 
 

@@ -209,20 +209,20 @@ def test_load_rejects_non_integer_value(tmp_path):
     rows = _valid_rows()
     rows[2] = "x,0,0.25"
     path = _write_dataset(tmp_path, rows)
-    with pytest.raises(DatasetFormatError, match="line 3.*value"):
+    with pytest.raises(DatasetFormatError, match="line 3: row index: expected '1'"):
         load_dataset(path)
 
 
 @pytest.mark.parametrize(
     "line, field",
     [
-        ("+1,0,0.25", "value"),
-        (" 1,0,0.25", "value"),
-        ("0_1,0,0.25", "value"),
-        ("01,0,0.25", "value"),
-        ("1,+0,0.25", "label"),
-        ("1, 0,0.25", "label"),
-        ("1,0_0,0.25", "label"),
+        ("+1,0,0.25", "row index"),
+        (" 1,0,0.25", "row index"),
+        ("0_1,0,0.25", "row index"),
+        ("01,0,0.25", "row index"),
+        ("1,+0,0.25", "field 'label'"),
+        ("1, 0,0.25", "field 'label'"),
+        ("1,0_0,0.25", "field 'label'"),
     ],
 )
 def test_load_rejects_integers_save_never_writes(tmp_path, line, field):
@@ -231,7 +231,7 @@ def test_load_rejects_integers_save_never_writes(tmp_path, line, field):
     assert rows[2] == "1,0,0.25"
     rows[2] = line
     path = _write_dataset(tmp_path, rows)
-    with pytest.raises(DatasetFormatError, match=f"line 3: field '{field}'"):
+    with pytest.raises(DatasetFormatError, match=f"line 3: {field}: "):
         load_dataset(path)
 
 

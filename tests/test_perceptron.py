@@ -1,5 +1,6 @@
 import re
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,3 +631,22 @@ def test_measure_many_takes_any_integer_type(dtype, mode):
     assert measure_many(typed, np.array(weights, dtype=dtype), config, 2).tobytes() == mixed
     one = measure_many(inputs, 77, config).tobytes()
     assert measure_many(typed, dtype(77), config).tobytes() == one
+
+
+def test_the_readme_qubit_version_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = r"^\| (\d) \| (\d+) \| (\d+) \| (\d+) \| (\d+) \| (\d+) \|$"
+    table = [[int(cell) for cell in cells] for cells in re.findall(row, readme, re.M)]
+    assert [r[0] for r in table] == [1, 2, 3, 4]
+    for n, qubits, m, gates, distinct, closed in table:
+        assert (qubits, m) == (n + 1, 1 << n)
+        if n <= 3:
+            mean = np.mean([len(perceptron._sign_flips(v, n)) for v in range(1 << m)])
+        else:  # bit j of a value is set in half of all 2^m values
+            mean = sum(len(perceptron._sign_flips(1 << (m - 1 - j), n)) / 2 for j in range(m))
+        assert mean == gates == (m + n * m) / 2
+        probs = measure_many(range(1 << m), 0, PerceptronConfig(n=n))
+        assert len(np.unique(probs)) == distinct
+        by_distance = {closed_form_probability(0, (1 << d) - 1, n) for d in range(m + 1)}
+        assert len(by_distance) == closed == m // 2 + 1
+        assert len(set(format(p, ".12g") for p in probs.tolist())) == closed

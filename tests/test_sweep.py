@@ -143,20 +143,35 @@ def test_load_sweep_csv_rejects_garbage(tmp_path):
         load_sweep_csv(path)
 
 
+# A valid 4 x 4 (n=1) matrix; each case below damages one place of it.
+_ROWS = ["0,1,0.5,0.5,1", "1,0.5,1,1,0.5", "2,0.5,1,1,0.5", "3,1,0.5,0.5,1"]
+
+
+def _matrix(*rows, header=",0,1,2,3"):
+    return "\n".join([header, *rows]) + "\n"
+
+
 @pytest.mark.parametrize(
     "text, match",
     [
-        (",0,1\n0,1,x\n1,0.5,1\n", r"bad\.csv: line 2: could not convert string to float: 'x'"),
-        (",0,1\n0,1,0.5\nx,0.5,1\n", r"bad\.csv: line 3: expected header 1 and 2 cells, got 'x'"),
-        (",0,1\n0,1,nan\n1,0.5,1\n", r"bad\.csv: line 2: column 1: probability out of \[0, 1\]: nan"),
-        (",0,1\n0,1,0.5\n1,-3,1\n", r"bad\.csv: line 3: column 0: probability out of \[0, 1\]: -3\.0"),
-        (",0,1\n0,inf,0.5\n1,0.5,1\n", r"bad\.csv: line 2: column 0: probability out of \[0, 1\]: inf"),
-        (",0,1\n0,1,0.5\n1,0.5,1e300\n", r"bad\.csv: line 3: column 1: probability out of \[0, 1\]: 1e\+300"),
-        (",0,1\n0,1,0.5\n1,0.5,-inf\n", r"bad\.csv: line 3: column 1: probability out of \[0, 1\]: -inf"),
-        ("", r"bad\.csv: line 1: missing sweep header row$"),
-        ("0,1\n", r"bad\.csv: line 1: missing sweep header row$"),
-        (",0,1\n0,1,0.5\n", r"bad\.csv: line 3: expected 2 data rows, got 1$"),
-        (",0,1\n0,1,0.5\n1,0.5,1\n2,1,1\n", r"bad\.csv: line 4: expected 2 data rows, got 3$"),
+        (_matrix("0,1,x,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: could not convert string to float: 'x'"),
+        (_matrix(_ROWS[0], "x,0.5,1,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: row index: expected '1' \(ascending, gap-free\), got 'x'$"),
+        (_matrix(_ROWS[0], "1,0.5,1,1", *_ROWS[2:]), r"bad\.csv: line 3: expected 5 fields, got 4$"),
+        (_matrix("0,1,nan,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: column 1: probability out of \[0, 1\]: nan"),
+        (_matrix(_ROWS[0], "1,-3,1,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 0: probability out of \[0, 1\]: -3\.0"),
+        (_matrix("0,inf,0.5,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: column 0: probability out of \[0, 1\]: inf"),
+        (_matrix(_ROWS[0], "1,0.5,1e300,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 1: probability out of \[0, 1\]: 1e\+300"),
+        (_matrix(_ROWS[0], "1,0.5,-inf,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 1: probability out of \[0, 1\]: -inf"),
+        ("", r"bad\.csv: line 1: expected 4, 16 or 256 columns, got 0$"),
+        ("0,1\n", r"bad\.csv: line 1: expected 4, 16 or 256 columns, got 1$"),
+        # every sweep is 2^m x 2^m for m = 2^n, n = 1..3: no other square loads
+        (_matrix("0,1", header=",0"), r"bad\.csv: line 1: expected 4, 16 or 256 columns, got 1$"),
+        (_matrix("0,1,0.5", "1,0.5,1", header=",0,1"), r"bad\.csv: line 1: expected 4, 16 or 256 columns, got 2$"),
+        (_matrix("0,1,1,1", "1,1,1,1", "2,1,1,1", header=",0,1,2"), r"bad\.csv: line 1: expected 4, 16 or 256 columns, got 3$"),
+        (_matrix(*[f"{i},1,1,1,1,1" for i in range(5)], header=",0,1,2,3,4"), r"bad\.csv: line 1: expected 4, 16 or 256 columns, got 5$"),
+        (_matrix(*_ROWS, header="0,1,2,3,4"), r"bad\.csv: line 1: row index: expected header '', got '0'$"),
+        (_matrix(_ROWS[0]), r"bad\.csv: line 3: expected 4 rows, got 1$"),
+        (_matrix(*_ROWS, "4,1,1,1,1"), r"bad\.csv: line 6: expected 4 rows, got 5$"),
     ],
 )
 def test_load_sweep_csv_names_file_and_line(tmp_path, text, match):
@@ -168,13 +183,19 @@ def test_load_sweep_csv_names_file_and_line(tmp_path, text, match):
 
 @pytest.mark.parametrize(
     "header, column, got",
-    [(",a,b", 0, "a"), (",0,2", 1, "2"), (",0,01", 1, "01"), (",1,0", 0, "1"), (",0,", 1, "")],
+    [
+        (",a,b,2,3", 0, "a"),
+        (",0,2,2,3", 1, "2"),
+        (",0,01,2,3", 1, "01"),
+        (",1,0,2,3", 0, "1"),
+        (",0,,2,3", 1, ""),
+    ],
 )
 def test_load_sweep_csv_names_line_1_and_the_first_wrong_header_column(
     tmp_path, header, column, got
 ):
     path = tmp_path / "bad.csv"
-    path.write_text(header + "\n0,1,0.5\n1,0.5,1\n")
+    path.write_text(_matrix(*_ROWS, header=header))
     match = rf"bad\.csv: line 1: column {column}: expected header '{column}', got '{got}'$"
     with pytest.raises(ValueError, match=match):
         load_sweep_csv(path)
@@ -182,9 +203,9 @@ def test_load_sweep_csv_names_line_1_and_the_first_wrong_header_column(
 
 def test_load_sweep_csv_takes_the_dataset_slack_over_1(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text(",0,1\n0,1,0.5\n1,0.5,1.0000000001\n")
+    path.write_text(_matrix(_ROWS[0], "1,0.5,1.0000000001,1,0.5", *_ROWS[2:]))
     assert load_sweep_csv(path)[1, 1] == 1.0000000001
-    path.write_text(",0,1\n0,1,0.5\n1,1.000000002,1\n")
+    path.write_text(_matrix(_ROWS[0], "1,1.000000002,1,1,0.5", *_ROWS[2:]))
     match = r"p\.csv: line 3: column 0: probability out of \[0, 1\]: 1\.000000002$"
     with pytest.raises(ValueError, match=match):
         load_sweep_csv(path)
