@@ -3,13 +3,17 @@
     python .github/scripts/kernel_memory.py
 
 One gate of each kind on a 256 MB state: its scratch stays within one tile
-(X, like MCX, copies one tile; two for H, whose in-place add numpy copies
+(MCX copies one tile; two for H, whose in-place add numpy copies
 through, and none for MCZ, which negates its hit states in place), as
-tests/test_statevector.py checks at 18 qubits. X runs at both ends of
-the register, at strides 2^23 and 1. Then a gate list, within two tiles.
-How numpy buffers an in-place ufunc on a strided view depends on its
-version, so this runs on every numpy the workflow tests. Exits non-zero naming the
-first gate list over its bound.
+tests/test_statevector.py checks at 18 qubits. An X costs no pass until
+the end of the call; then one pass, which copies one tile, covers every
+pending qubit inside a tile, and one covers each pending qubit above a
+tile. X runs alone at both ends of the register, at strides 2^23 and 1,
+and as five X's left pending, two above a tile and three inside one, all
+within one tile. Then a gate list, within two tiles. How numpy buffers an
+in-place ufunc on a strided view depends on its version, so this runs on
+every numpy the workflow tests. Exits non-zero naming the first gate list
+over its bound.
 """
 
 import sys
@@ -24,7 +28,8 @@ run = [sv.h(n - 1), sv.x(n - 2), sv.h(n - 3), sv.mcz([0, n - 1]), sv.mcx([1, 2],
 cases = [
     (op,) for op in (sv.h(n - 4), sv.x(0), sv.x(n - 1), sv.mcz([0]), sv.mcx([0], n - 1))
 ]
-for ops in cases + [run]:
+pending = [sv.x(0), sv.x(3), sv.x(n - 1), sv.x(n - 5), sv.x(n - 9)]
+for ops in cases + [pending, run]:
     tracemalloc.start()
     sv._apply_inplace(amps, n, ops)
     peak = tracemalloc.get_traced_memory()[1]

@@ -3,20 +3,23 @@
 Amplitude indexing is MSB-first: qubit 0 owns the most significant bit of
 the basis index, so an n-qubit register stores |b0 b1 ... b_{n-1}> at index
 b0 * 2^(n-1) + b1 * 2^(n-2) + ... + b_{n-1}. The gate set is H, X, MCZ
-(multi-controlled Z, symmetric in its qubits) and MCX (multi-controlled X;
-the kernels run X as an MCX with no controls). All four are self-inverse
-and norm-preserving. Every gate kernel acts on the last axis, so on a
-block of states, one per row, each row gets the arithmetic `run_circuit`
-gives a single state.
+(multi-controlled Z, symmetric in its qubits) and MCX (multi-controlled X).
+All four are self-inverse and norm-preserving. Every gate kernel acts on
+the last axis, so on a block of states, one per row, each row gets the
+arithmetic `run_circuit` gives a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
-no arrays. Each gate walks the state once, in tiles of 2^14 amplitudes
-(256 KB). MCZ is diagonal: it negates the states where all its qubits are
-1, in place, and neither reads nor writes a tile that holds none of them.
-A gate's scratch memory is bounded by the tile, whatever the register
-size: one tile for X, MCX and MCZ, two for H, against 256 MB of state at
-the cap. MCZ's is only the buffers numpy runs a hit through when it does
-not flatten to one stride.
+no arrays. H, MCZ and MCX each walk the state once, in tiles of 2^14
+amplitudes (256 KB). MCZ is diagonal: it negates the states where all its
+qubits are 1, in place, and neither reads nor writes a tile that holds
+none of them. An X costs no pass until the end of the call: it is kept as
+a pending bit flip that the next H, MCZ or MCX on its qubit reads
+through, with the same bytes as X then that gate. At the end, one pass
+covers every pending qubit inside a tile, and one pass covers each
+pending qubit above a tile. A pass's scratch memory is bounded by the
+tile, whatever the register size: one tile for X, MCX and MCZ, two for H,
+against 256 MB of state at the cap. MCZ's is only the buffers numpy runs
+a hit through when it does not flatten to one stride.
 
 Registers are capped at 24 qubits; a dense complex128 vector at that size
 is 256 MB, which is as far as this simulator is meant to go.
@@ -188,61 +191,108 @@ def _check_op(op: GateOp, num_qubits: int) -> None:
 
 
 class _Gate(NamedTuple):
-    """A gate as _apply_tile applies it, prepared once per kernel call.
+    """A pass as _apply_tile applies it, prepared once per kernel call.
 
     width is the target's stride s (the last qubit's for MCZ) when a
-    (zero, one) pair fits in a tile, else half a tile; fixed is the mask of
-    the controls whose bit a tile's offset fixes; shape, hit and source
-    index the cube of X, MCZ and MCX.
+    (zero, one) pair fits in a tile, else half a tile; flipped says an X is
+    pending on H's target. fixed is the mask of the controls whose bit a
+    tile's offset fixes, and want the bits the offset must hold there: 1,
+    or 0 under a pending X. shape, hit and source index the cube of X, MCZ
+    and MCX, and source reverses the axis of each qubit the pass flips.
     """
 
     kind: str
     s: int
     width: int
+    flipped: bool = False
     fixed: int = 0
+    want: int = 0
     shape: tuple = ()
     hit: tuple = ()
     source: tuple = ()
 
 
-def _prepare(op: GateOp, n: int) -> _Gate:
-    """Check `op` against an n-qubit register and index it for _apply_tile."""
-    _check_op(op, n)
+def _prepare(op: GateOp, n: int, flip: int = 0) -> _Gate:
+    """Index `op` for _apply_tile on an n-qubit register.
+
+    `flip` has bit n-1-q set for each qubit q with an X pending. H and the
+    controls of MCZ and MCX read the state through those X's; an X on
+    MCX's target commutes with it. An X is only ever prepared to apply
+    pending X's, and its pass also flips every qubit `flip` sets inside
+    its cube.
+    """
     target = n - 1 if op.target is None else op.target
     s = 1 << (n - 1 - target)
     width = min(s, _TILE // 2)
     if op.kind == "H":
-        return _Gate(op.kind, s, width)
+        return _Gate(op.kind, s, width, flipped=bool(flip & s))
     # The cube's axes: rows, then the target when a tile is two chunks,
     # then qubits `low` to n-1, whose bits vary in one chunk.
     split = width < s
     low = n + 1 - (width if split else min(1 << n, _TILE)).bit_length()
     index = [slice(None)] * (1 + split + n - low)
-    fixed = 0
+    fixed = want = 0
     for q in op.controls:
+        bit = 1 << (n - 1 - q)
         if q < low:
-            fixed |= 1 << (n - 1 - q)
+            fixed |= bit
+            want |= bit & ~flip
         else:
-            index[1 + split + q - low] = 1
+            index[1 + split + q - low] = 0 if flip & bit else 1
     shape = (-1,) + (2,) * (len(index) - 1)
     hit = tuple(index)
     if op.kind != "MCZ":
         index[1 if split else 1 + target - low] = slice(None, None, -1)
-    return _Gate(op.kind, s, width, fixed, shape, hit, tuple(index))
+    if op.kind == "X":
+        for q in range(low, n):
+            if flip >> (n - 1 - q) & 1:
+                index[1 + split + q - low] = slice(None, None, -1)
+    return _Gate(op.kind, s, width, False, fixed, want, shape, hit, tuple(index))
+
+
+def _passes(ops: list[GateOp], n: int) -> Iterable[_Gate]:
+    """The passes that apply `ops` to an n-qubit register, in order.
+
+    An X makes no pass of its own: it toggles its qubit's bit in a mask of
+    pending X's, a Pauli frame (Knill, "Quantum computing with
+    realistically noisy devices", Nature 434, 39, 2005), which the next H,
+    MCZ or MCX on its qubit reads through. An H on a pending qubit uses
+    H X = Z H and clears its bit. The X's still pending at the end get one
+    pass for each qubit above a tile, and one pass for all those inside.
+    """
+    flip = 0
+    for op in ops:
+        if op.kind == "X":
+            flip ^= 1 << (n - 1 - op.target)
+            continue
+        yield _prepare(op, n, flip)
+        if op.kind == "H":
+            flip &= ~(1 << (n - 1 - op.target))
+    size = min(1 << n, _TILE)
+    for q in range(n + 1 - size.bit_length()):
+        if flip >> (n - 1 - q) & 1:
+            yield _prepare(x(q), n)
+    inner = flip & (size - 1)
+    if inner:
+        yield _prepare(x(n - inner.bit_length()), n, inner)
 
 
 def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> None:
     """Apply gates in order along the last axis of a C-contiguous state or block.
 
-    Each gate walks the amplitudes once, as (zero, one) pairs of its
+    Every op is checked against the register before any is applied, so an
+    op out of range raises with the amplitudes unchanged. H, MCZ and MCX
+    walk the amplitudes once each, as (zero, one) pairs of the pass's
     stride s: a tile is as many whole pairs as fill _TILE amplitudes, or,
     when one pair does not fit, a zero-half chunk of half a tile with its
-    matching one-half chunk. Each op is checked against the register as it
-    is prepared, so an op out of range raises before it changes any
-    amplitude, though earlier gates have been applied.
+    matching one-half chunk. An X costs no pass until the end of the call
+    (see _passes): then one pass covers every pending qubit inside a tile,
+    and one pass covers each pending qubit above a tile.
     """
+    ops = list(ops)
     for op in ops:
-        gate = _prepare(op, num_qubits)
+        _check_op(op, num_qubits)
+    for gate in _passes(ops, num_qubits):
         s, width = gate.s, gate.width
         view = amps.reshape(-1, 2, s)
         pairs = max(1, _TILE // (2 * s))
@@ -252,7 +302,7 @@ def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> 
 
 
 def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
-    """Apply one gate to one (pairs, 2, width) tile, first amplitude at `offset`.
+    """Apply one pass to one (pairs, 2, width) tile, first amplitude at `offset`.
 
     H alone works on the tile's zero and one halves: for a stride s of at
     most 4, the 1-D strided views tile[:, 0, j] and tile[:, 1, j], one pair
@@ -260,16 +310,18 @@ def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
     amplitudes; else tile[:, 0] and tile[:, 1]. Its difference is half a
     tile, beside, when s > 4 and a tile holds several pairs, the three
     half-tile buffers numpy copies its in-place add through, as it cannot
-    rule out overlap between the halves.
+    rule out overlap between the halves. On a flipped target it writes
+    one - zero where it writes zero - one, and as IEEE addition commutes,
+    the bytes are those of X then H.
 
     X, MCZ and MCX see a tile as a cube with one size-2 axis per qubit
-    whose bit varies inside it (qubit 0 first, after one leading axis); X
-    is an MCX with no controls. The tile's offset fixes every other qubit,
-    so a tile where such a control is 0 holds no state the gate acts on
-    and is left alone. MCZ negates its hit states in place, through
-    numpy's two ufunc buffers of at most half a tile each when the hit
-    does not flatten to one stride; X and MCX copy their hit from the
-    target-reversed source through at most a tile.
+    whose bit varies inside it (qubit 0 first, after one leading axis). The
+    tile's offset fixes every other qubit, so a tile where such a control
+    does not hold its wanted bit holds no state the gate acts on and is
+    left alone. MCZ negates its hit states in place, through numpy's two
+    ufunc buffers of at most half a tile each when the hit does not
+    flatten to one stride; X and MCX copy their hit from the reversed
+    source through at most a tile.
     """
     if gate.kind == "H":
         if gate.width <= 4:
@@ -277,11 +329,11 @@ def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
         else:
             halves = [(tile[:, 0], tile[:, 1])]
         for zero, one in halves:
-            diff = zero - one
+            diff = one - zero if gate.flipped else zero - one
             zero += one
             one[...] = diff
         tile *= _INV_SQRT2
-    elif (offset & gate.fixed) == gate.fixed:
+    elif (offset & gate.fixed) == gate.want:
         cube = tile.reshape(gate.shape)
         if gate.kind == "MCZ":
             cube[gate.hit] *= -1.0

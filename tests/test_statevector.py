@@ -158,6 +158,16 @@ def test_run_circuit_checks_ops_appended_after_construction(n, op, message):
         run_circuit(circuit, new_zero_state(n))
 
 
+def test_an_out_of_range_op_changes_no_amplitude():
+    # Every op is checked before any is applied, so the X and H before the
+    # bad MCZ leave no trace, pending or applied.
+    amps = random_state(3, seed=4).amplitudes
+    before = amps.tobytes()
+    with pytest.raises(ValueError, match="MCZ gate touches qubit 5"):
+        _apply_inplace(amps, 3, [x(0), h(1), mcz([5])])
+    assert amps.tobytes() == before
+
+
 def test_run_circuit_register_size_mismatch():
     with pytest.raises(ValueError):
         run_circuit(Circuit(3, [h(0)]), new_zero_state(2))
@@ -399,11 +409,15 @@ def test_kernels_need_at_most_one_state_sized_temporary():
         # every other amplitude of it is hit
         mcz([0]), mcz([17]), mcx([0], 17), mcx([17], 0),
         mcz([1, 9, 16]), mcx([3, 12], 6),
+        # X's pending at the end: one pass for each of 0 and 3, above a
+        # tile, and one for 17, 13 and 9 together, inside one
+        (x(0), x(3), x(17), x(13), x(9)),
     ],
     ids=repr,
 )
 def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op):
     n = 18
+    ops = op if isinstance(op, tuple) else (op,)
     amps = random_state(n, seed=2).amplitudes
     # H's in-place add: when a tile holds several (zero, one) pairs of
     # stride above 4, numpy cannot rule out overlap between the halves and
@@ -411,14 +425,14 @@ def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op):
     # difference. MCZ negates its hit states in place, but numpy multiplies
     # a hit that does not flatten to one stride, as mcz([1, 9, 16])'s,
     # through two ufunc buffers of up to 8192 amplitudes: a tile in all.
-    tiles = {"H": 2, "MCZ": 0}.get(op.kind, 1)
+    tiles = {"H": 2, "MCZ": 0}.get(ops[0].kind, 1)
     if op == mcz([1, 9, 16]):
         tiles = 1
     bound = tiles * TILE_BYTES + SLACK_BYTES
     assert bound < amps.nbytes / 4
     tracemalloc.start()
     try:
-        _apply_inplace(amps, n, (op,))
+        _apply_inplace(amps, n, ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -539,6 +553,11 @@ def test_gates_leave_the_amplitudes_they_do_not_act_on_untouched(monkeypatch, ti
 
 def test_kernels_match_reference_bytes_at_20_qubits():
     ops = [
+        # an X folded into an H above a tile, inside one, and at stride 2
+        x(2), h(2), x(15), h(15), x(18), h(18),
+        # flipped controls above a tile and inside one, and a flipped target
+        x(1), mcz([1, 12]), mcx([1, 16], 7), x(16), mcz([16, 19]),
+        x(7), mcx([3], 7),
         h(0), h(19), h(9), x(0), x(19), x(11),
         mcz([0]), mcz([19]), mcz([2, 9, 16]),
         mcx([0], 19), mcx([19], 0), mcx([1, 8, 13], 5), mcx([4, 17], 2),
@@ -546,5 +565,8 @@ def test_kernels_match_reference_bytes_at_20_qubits():
         h(18), h(17), x(18), x(17),
         # a run of tile-local gates between two that are not
         h(3), h(16), x(12), mcz([0, 7, 18]), mcx([2, 5], 14), h(6), x(19), x(1),
+        # X's still pending at the end: 0, 3 and 4 above a tile, and 7, 9,
+        # 11, 12, 13, 17, 18 and 19 inside one
+        x(3), x(4), x(9), x(13), x(19),
     ]
     _assert_matches_reference(20, 1, ops, seed=20)
