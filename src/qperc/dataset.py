@@ -11,9 +11,13 @@ On disk a dataset is a CSV file with header `value,label,probability` plus
 a JSON sidecar at `<path>.meta.json` carrying the optimal weight and the
 fields of the PerceptronConfig that measured it. Probabilities are written
 with 12 significant digits; identical generation settings produce byte
-identical files. `load_dataset` leaves the header, row count, row widths
-and value column to `ioutil.split_table`, the structure reader it shares
-with `sweep.load_sweep_csv`, and checks only labels and probabilities.
+identical files. `save_dataset` formats and writes the rows in blocks of
+`perceptron.BLOCK_ROWS`, so it holds the probability column, not the
+file's text; like every qperc write it goes through `ioutil.atomic_writer`,
+and the file's mode follows the umask. `load_dataset` leaves the header,
+row count, row widths and value column to `ioutil.split_table`, the
+structure reader it shares with `sweep.load_sweep_csv`, and checks only
+labels and probabilities.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_12g, is_probability, read_lines
-from .ioutil import split_table
-from .perceptron import PerceptronConfig, check_value, measure_many
+from .ioutil import atomic_write_text, atomic_writer, format_12g, is_probability
+from .ioutil import read_lines, split_table
+from .perceptron import BLOCK_ROWS, PerceptronConfig, check_value, measure_many
 
 CSV_HEADER = "value,label,probability"
 
@@ -74,13 +78,35 @@ def _meta_path(path: str | Path) -> Path:
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write the CSV rows and the JSON sidecar, both atomically."""
-    texts, index = format_12g(dataset.probabilities)
+    """Write the CSV rows and the JSON sidecar, both atomically.
+
+    The rows are formatted and written BLOCK_ROWS at a time, so no more
+    than one block's text is held. A column load_dataset would refuse, one
+    not 2^(2^n) rows long or holding a P outside [0, 1], raises ValueError
+    before any file is written.
+    """
+    probabilities = dataset.probabilities
+    rows = 1 << (1 << dataset.config.n)
+    if len(probabilities) != rows:
+        raise ValueError(
+            f"expected {rows} rows for n={dataset.config.n}, "
+            f"got {len(probabilities)}"
+        )
+    bad = np.flatnonzero(~is_probability(probabilities))
+    if len(bad):
+        raise ValueError(
+            f"row {bad[0]}: probability out of [0, 1]: {probabilities[bad[0]]}"
+        )
+    texts, index = format_12g(probabilities)
     # Row k is str(k) plus one ",label,P" suffix per (label, distinct P).
-    suffixes = [f",{label},{text}" for text in texts for label in (0, 1)]
-    keys = (2 * index + dataset.labels).tolist()
-    rows = [f"{value}{suffixes[key]}" for value, key in enumerate(keys)]
-    atomic_write_text(path, "\n".join([CSV_HEADER, *rows]) + "\n")
+    suffixes = [f",{label},{text}\n" for text in texts for label in (0, 1)]
+    keys = 2 * index + dataset.labels
+    with atomic_writer(path) as f:
+        f.write(f"{CSV_HEADER}\n".encode())
+        for start in range(0, rows, BLOCK_ROWS):
+            block = keys[start : start + BLOCK_ROWS].tolist()
+            lines = [f"{i}{suffixes[key]}" for i, key in enumerate(block, start)]
+            f.write("".join(lines).encode())
     meta = asdict(dataset.config)
     meta["optimal_weight"] = dataset.optimal_weight
     atomic_write_text(

@@ -29,7 +29,8 @@ def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
 
     The temp file is deleted when the block raises, so a failed write never
     leaves a partial file at `path`. An OSError from creating the temp file
-    or renaming it onto `path` names `path`.
+    or renaming it onto `path` names `path`. The file gets the mode open()
+    would give it, 0o666 less the umask, not mkstemp's 0o600.
     """
     path = Path(path)
     with _naming(path):
@@ -40,6 +41,11 @@ def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
         )
     try:
         with os.fdopen(fd, "wb") as f:
+            # Reading the umask means setting it; 0o077 for that instant can
+            # only make a file another thread creates meanwhile stricter.
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             yield f
         with _naming(path):
             os.replace(tmp, path)

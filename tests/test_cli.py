@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -376,6 +377,39 @@ def test_train_trace_out_memory_does_not_grow_with_epochs(tmp_path, capsys):
     assert lines == 40 * 256
     # Holding the 10,240 steps read about 5x the 4-epoch peak.
     assert long <= 1.5 * short
+
+
+def test_gen_data_memory_is_its_column_not_its_text(tmp_path, capsys):
+    # The n=4 CSV is 0.97 MB of text. Built whole, its keys, row strings,
+    # joined text and bytes made a traced peak of 7.84 MiB; written in
+    # blocks, what is left is the probability column and one block.
+    tracemalloc.start()
+    try:
+        assert run_cli(
+            "gen-data", "--n", "4", "--weight", "626",
+            "--out", str(tmp_path / "data.csv"),
+        ) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "wrote 65536 rows" in capsys.readouterr().out
+    assert peak <= 3 * 2**20
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_written_files_take_their_mode_from_the_umask(tmp_path, capsys, umask, mode):
+    # As open() gives them, not the 0o600 of the temp file they are renamed from.
+    data, art = tmp_path / "data.csv", tmp_path / "art.txt"
+    old = os.umask(umask)
+    try:
+        assert run_cli("gen-data", "--n", "2", "--weight", "12", "--out", str(data)) == 0
+        assert run_cli("render", "--value", "12", "--n", "2", "--out", str(art)) == 0
+    finally:
+        assert os.umask(old) == umask  # reading the umask left it as it was
+    for path in (data, tmp_path / "data.csv.meta.json", art):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
 
 def test_train_failure_partway_leaves_no_trace_file(tmp_path, capsys, monkeypatch):

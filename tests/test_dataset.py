@@ -1,5 +1,6 @@
 import json
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qperc.dataset as dataset_module
 from qperc.dataset import (
     Dataset,
     DatasetFormatError,
@@ -149,6 +151,77 @@ def test_save_is_byte_deterministic(tmp_path, small_dataset):
         (tmp_path / "a.csv.meta.json").read_bytes()
         == (tmp_path / "b.csv.meta.json").read_bytes()
     )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [PerceptronConfig(n=3), PerceptronConfig(n=3, mode="sampled", shots=100, seed=3)],
+)
+def test_save_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, config):
+    dataset = generate_dataset(77, config)
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    save_dataset(dataset, whole)  # 256 rows, one block
+    monkeypatch.setattr(dataset_module, "BLOCK_ROWS", 7)  # 36 blocks of 7, one of 4
+    save_dataset(dataset, blocked)
+    assert blocked.read_bytes() == whole.read_bytes()
+    assert blocked.read_text().count("\n") == 257
+
+
+@pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+def test_save_failing_after_its_first_block_leaves_no_partial_file(
+    tmp_path, monkeypatch, small_dataset, existing
+):
+    path = tmp_path / "data.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    real_writer = dataset_module.atomic_writer
+    written = []
+
+    class FullDisk:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            if len(written) == 2:  # the header, then the first block
+                assert len(list(tmp_path.glob("data.csv.*.tmp"))) == 1
+                raise OSError(28, "No space left on device")
+            written.append(data)
+            return self.f.write(data)
+
+    @contextmanager
+    def writer(target):
+        with real_writer(target) as f:
+            yield FullDisk(f)
+
+    monkeypatch.setattr(dataset_module, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(dataset_module, "atomic_writer", writer)
+    with pytest.raises(OSError, match="No space left"):
+        save_dataset(small_dataset, path)
+    assert written[1].startswith(b"0,") and written[1].count(b"\n") == 7
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == existing
+
+
+def test_save_refuses_a_short_column_before_writing(tmp_path):
+    # Dataset takes a partial column; load_dataset would refuse a file
+    # holding one, so none is written.
+    dataset = Dataset(PerceptronConfig(n=2), 12, np.array([0.1, 0.9, 0.5]))
+    with pytest.raises(ValueError, match="expected 16 rows for n=2, got 3"):
+        save_dataset(dataset, tmp_path / "data.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+def test_save_refuses_a_probability_load_would_refuse(tmp_path, bad):
+    column = np.full(16, 0.25)
+    column[[5, 9]] = bad
+    column[3] = 1.0 + 1e-10  # inside is_probability's slack, as on load
+    with pytest.raises(ValueError, match=rf"^row 5: probability out of \[0, 1\]: {bad}$"):
+        save_dataset(Dataset(PerceptronConfig(n=2), 12, column), tmp_path / "data.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _write_dataset(tmp_path, rows, meta=None):
