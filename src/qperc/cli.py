@@ -6,16 +6,19 @@ environment variable is consulted, and 0 is the fallback. Exit codes: 0 on
 success, 2 for usage or validation problems, 1 for internal errors. The
 commands check no flag: the library rule that owns it raises, and main()
 puts the flag named by the message's first word before the message.
+render writes one encoding of its output, to stdout's bytes or to --out, so
+the ASCII grid is UTF-8 on any stdout; train() gets one sink, a file or a no-op.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from .dataset import generate_dataset, load_dataset, save_dataset
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes
 from .perceptron import DEFAULT_SHOTS, MODES, PerceptronConfig, measure
 from .render import RENDER_FORMATS, pattern_grid, render_ascii, render_pgm
 from .sweep import SWEEP_FORMATS, compute_sweep, save_sweep
@@ -97,11 +100,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=_resolve_seed(args.seed),
         convergence_mode=args.convergence,
     )
+    sink = contextlib.nullcontext(lambda step: None)
     if args.trace_out:
-        with trace_writer(args.trace_out) as write_step:
-            result = train(dataset, optimal, config, write_step)
-    else:
-        result = train(dataset, optimal, config, lambda step: None)
+        sink = trace_writer(args.trace_out)
+    with sink as on_step:
+        result = train(dataset, optimal, config, on_step)
     print(f"converged: {result.converged}")
     print(f"final weight: {result.final_weight}")
     print(f"epochs run: {result.epochs_run}")
@@ -112,29 +115,26 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     grid = pattern_grid(args.value, args.n, args.rows, args.cols)
     if args.format == "ascii":
-        text = render_ascii(grid)
-        if args.out in (None, "-"):
-            print(text)
-        else:
-            atomic_write_text(args.out, text + "\n")
+        data = (render_ascii(grid) + "\n").encode("utf-8")
     else:
         data = render_pgm(grid)
-        if args.out in (None, "-"):
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
-        else:
-            atomic_write_bytes(args.out, data)
+    if args.out in (None, "-"):
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    else:
+        atomic_write_bytes(args.out, data)
     return 0
 
 
 def _add_measure_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=MODES, default="exact")
     sub.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+    _add_seed_flag(sub)
+
+
+def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"RNG seed (default: ${ENV_SEED}, then 0)",
+        "--seed", type=int, help=f"RNG seed (default: ${ENV_SEED}, then 0)"
     )
 
 
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trn.add_argument("--lr", type=float, default=0.5)
     trn.add_argument("--max-epochs", type=int, default=1000)
-    trn.add_argument("--seed", type=int, default=None)
+    _add_seed_flag(trn)
     trn.add_argument("--convergence", choices=CONVERGENCE_MODES, default="functional")
     trn.add_argument("--trace-out", default=None)
     trn.set_defaults(handler=cmd_train)

@@ -70,7 +70,7 @@ def generate_dataset(optimal_weight: int, config: PerceptronConfig) -> Dataset:
     """Label every value in ascending order against `optimal_weight`."""
     values = np.arange(1 << (1 << config.n))
     probabilities = measure_many(values, optimal_weight, config)
-    return Dataset(config, optimal_weight, probabilities)
+    return Dataset(config, int(optimal_weight), probabilities)
 
 
 def _meta_path(path: str | Path) -> Path:
@@ -83,10 +83,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     The rows are formatted and written BLOCK_ROWS at a time, so no more
     than one block's text is held. A column load_dataset would refuse, one
     not 2^(2^n) rows long or holding a P outside [0, 1], raises ValueError
-    before any file is written.
+    before any file is written, as does an optimal weight outside [0, 2^m).
     """
     probabilities = dataset.probabilities
     rows = 1 << (1 << dataset.config.n)
+    check_value(dataset.optimal_weight, dataset.config.n, "optimal_weight")
     if len(probabilities) != rows:
         raise ValueError(
             f"expected {rows} rows for n={dataset.config.n}, "
@@ -108,7 +109,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             lines = [f"{i}{suffixes[key]}" for i, key in enumerate(block, start)]
             f.write("".join(lines).encode())
     meta = asdict(dataset.config)
-    meta["optimal_weight"] = dataset.optimal_weight
+    meta["optimal_weight"] = int(dataset.optimal_weight)
     atomic_write_text(
         _meta_path(path), json.dumps(meta, sort_keys=True, indent=2) + "\n"
     )
@@ -120,13 +121,9 @@ class DatasetFormatError(ValueError):
 
 def _parse_meta(path: Path) -> tuple[PerceptronConfig, int]:
     try:
-        raw = path.read_text(encoding="utf-8")
+        meta = json.loads("\n".join(read_lines(path, DatasetFormatError)))
     except FileNotFoundError:
         raise DatasetFormatError(f"missing dataset sidecar {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not UTF-8 ({exc})") from None
-    try:
-        meta = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(meta, dict):
@@ -134,11 +131,11 @@ def _parse_meta(path: Path) -> tuple[PerceptronConfig, int]:
     for key in (*_CONFIG_KEYS, "optimal_weight"):
         if key not in meta:
             raise DatasetFormatError(f"{path}: missing field {key!r}")
-    for key in ("n", "optimal_weight", "seed", "shots"):
-        if type(meta[key]) is not int:  # JSON true/false would pass isinstance
-            raise DatasetFormatError(
-                f"{path}: field {key!r} must be an integer, got {meta[key]!r}"
-            )
+    if type(meta["optimal_weight"]) is not int:  # check_value takes 2.0 and true
+        raise DatasetFormatError(
+            f"{path}: field 'optimal_weight' must be an integer, "
+            f"got {meta['optimal_weight']!r}"
+        )
     # Each message starts with the name of the field it rejects.
     try:
         config = PerceptronConfig(**{key: meta[key] for key in _CONFIG_KEYS})

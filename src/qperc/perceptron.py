@@ -109,6 +109,10 @@ class PerceptronConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "shots", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # not a bool, a float or a numpy int
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         check_n(self.n)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")

@@ -342,10 +342,8 @@ def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    """Return the state after one gate; the input state is untouched."""
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, state.num_qubits, (op,))
-    return StateVector(state.num_qubits, amps)
+    """run_circuit of the one-gate Circuit [op]; the input state is untouched."""
+    return run_circuit(Circuit(state.num_qubits, [op]), state)
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -241,7 +243,7 @@ def test_train_non_utf8_dataset_exits_2_naming_file_and_line(tmp_path, capsys):
     meta_path.write_bytes(b'{"n": \xff}')
     assert run_cli("train", "--data", str(data)) == 2
     assert capsys.readouterr().err == (
-        f"error: {meta_path}: not UTF-8 ('utf-8' codec can't decode byte 0xff "
+        f"error: {meta_path}: line 1: not UTF-8 ('utf-8' codec can't decode byte 0xff "
         "in position 6: invalid start byte)\n"
     )
 
@@ -485,6 +487,19 @@ def test_render_ascii_to_stdout(capsys):
     assert capsys.readouterr().out == "██\n··\n"
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "pgm"])
+def test_render_stdout_gets_the_out_bytes_whatever_its_encoding(
+    tmp_path, monkeypatch, fmt
+):
+    args = ("render", "--value", "626", "--n", "4", "--format", fmt)
+    out = tmp_path / "pattern"
+    assert run_cli(*args, "--out", str(out)) == 0
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_cli(*args) == 0
+    assert stdout.buffer.getvalue() == out.read_bytes()
+
+
 def test_render_626_pattern(capsys):
     assert run_cli("render", "--value", "626", "--n", "4") == 0
     lines = capsys.readouterr().out.splitlines()
@@ -537,6 +552,22 @@ def test_render_rejects_n_out_of_range_naming_flag(capsys, n):
 def test_render_rejects_out_of_range_value(capsys):
     assert run_cli("render", "--value", "16", "--n", "2") == 2
     assert "--value" in capsys.readouterr().err
+
+
+def test_readme_command_line_transcript(tmp_path, monkeypatch, capsys):
+    # Each "qperc ..." line of README's command-line block, run in an empty
+    # directory, prints exactly the lines under it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QPERC_SEED", raising=False)
+    capsys.readouterr()
+    for entry in block.strip().split("\n\n"):
+        command, *expected = entry.split("\n")
+        argv = shlex.split(command)
+        assert argv[0] == "qperc", command
+        assert run_cli(*argv[1:]) == 0, command
+        assert capsys.readouterr().out.splitlines() == expected, command
 
 
 def test_unknown_command_exits_two():

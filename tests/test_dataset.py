@@ -224,6 +224,15 @@ def test_save_refuses_a_probability_load_would_refuse(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [99, 12.5, -1])
+def test_save_refuses_an_optimal_weight_load_would_refuse(tmp_path, bad):
+    dataset = Dataset(PerceptronConfig(n=2), bad, np.full(16, 0.25))
+    message = rf"^optimal_weight must be in \[0, 15\] for n=2, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        save_dataset(dataset, tmp_path / "data.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _write_dataset(tmp_path, rows, meta=None):
     path = tmp_path / "data.csv"
     path.write_text("\n".join(rows) + "\n")

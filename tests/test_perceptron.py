@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from qperc import (
+    Dataset,
     TrainConfig,
     count_non_matching_bits,
     generate_dataset,
+    load_dataset,
     pattern_grid,
     perceptron,
+    save_dataset,
     statevector,
     train,
 )
@@ -450,7 +453,7 @@ def test_check_value_refuses_fractions_and_nested_columns():
 @pytest.mark.parametrize(
     "whole", [2.0, np.float64(2.0), np.int64(2)], ids=["float", "float64", "int64"]
 )
-def test_owners_of_a_whole_value_give_its_int_result(whole):
+def test_owners_of_a_whole_value_give_its_int_result(whole, tmp_path):
     # check_value admits any whole number; each owner computes on its int.
     assert closed_form_probability(whole, 0, 2) == closed_form_probability(2, 0, 2)
     assert closed_form_probability(0, whole, 2) == closed_form_probability(0, 2, 2)
@@ -466,6 +469,16 @@ def test_owners_of_a_whole_value_give_its_int_result(whole):
     dataset = generate_dataset(12, PerceptronConfig(n=2))
     config = TrainConfig(seed=5)  # functional: the complement of 12 is a target
     assert train(dataset, whole * 6, config) == train(dataset, 12, config)
+    # Both ways to make a dataset save its weight as the int load_dataset reads.
+    config = PerceptronConfig(n=2)
+    column = measure_many(range(16), 2, config)
+    for i, dataset in enumerate(
+        [generate_dataset(whole, config), Dataset(config, whole, column)]
+    ):
+        path = tmp_path / f"{i}.csv"
+        save_dataset(dataset, path)
+        loaded = load_dataset(path)
+        assert type(loaded.optimal_weight) is int and loaded.optimal_weight == 2
 
 
 def test_config_validation():

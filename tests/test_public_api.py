@@ -74,6 +74,9 @@ _REJECTIONS = [
     ("weight", lambda: count_non_matching_bits(16, 0, 4)),
     ("value", lambda: count_non_matching_bits(0, 16, 4)),
     ("m", lambda: count_non_matching_bits(0, 0, 5)),
+    ("n", lambda: PerceptronConfig(n=True)),
+    ("shots", lambda: PerceptronConfig(n=2, mode="sampled", shots=64.0)),
+    ("seed", lambda: PerceptronConfig(n=2, seed=1.5)),
 ]
 
 
