@@ -31,6 +31,7 @@ import numpy as np
 from .ioutil import atomic_write_text, atomic_writer, format_12g, is_probability
 from .ioutil import read_lines, split_table
 from .perceptron import BLOCK_ROWS, PerceptronConfig, check_value, measure_many
+from .statevector import check_int
 
 CSV_HEADER = "value,label,probability"
 
@@ -131,14 +132,10 @@ def _parse_meta(path: Path) -> tuple[PerceptronConfig, int]:
     for key in (*_CONFIG_KEYS, "optimal_weight"):
         if key not in meta:
             raise DatasetFormatError(f"{path}: missing field {key!r}")
-    if type(meta["optimal_weight"]) is not int:  # check_value takes 2.0 and true
-        raise DatasetFormatError(
-            f"{path}: field 'optimal_weight' must be an integer, "
-            f"got {meta['optimal_weight']!r}"
-        )
     # Each message starts with the name of the field it rejects.
     try:
         config = PerceptronConfig(**{key: meta[key] for key in _CONFIG_KEYS})
+        check_int("optimal_weight", meta["optimal_weight"])  # check_value takes 2.0
         check_value(meta["optimal_weight"], config.n, "optimal_weight")
     except ValueError as exc:
         field = str(exc).split(" ", 1)[0]

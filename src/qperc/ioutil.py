@@ -6,8 +6,7 @@ the range and 12-significant-digit text of the probabilities files store.
 from __future__ import annotations
 
 import os
-import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -27,33 +26,24 @@ def _naming(path: Path) -> Iterator[None]:
 def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file whose contents appear at `path` only if the block succeeds.
 
-    The temp file is deleted when the block raises, so a failed write never
-    leaves a partial file at `path`. An OSError from creating the temp file
-    or renaming it onto `path` names `path`. The file gets the mode open()
-    would give it, 0o666 less the umask, not mkstemp's 0o600.
+    The temp file beside `path` gets a random name and open()'s "x" mode, so
+    it never reuses a file and gets open()'s mode, 0o666 less the umask. It
+    is deleted when the block raises, so a failed write never leaves a
+    partial file at `path`. An OSError from creating the temp file or
+    renaming it onto `path` names `path`.
     """
     path = Path(path)
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     with _naming(path):
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent if str(path.parent) else ".",
-            prefix=path.name + ".",
-            suffix=".tmp",
-        )
+        f = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as f:
-            # Reading the umask means setting it; 0o077 for that instant can
-            # only make a file another thread creates meanwhile stricter.
-            umask = os.umask(0o077)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
+        with f:
             yield f
         with _naming(path):
             os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

@@ -54,10 +54,11 @@ table is built once per call, when a row first needs it; a block's size
 bounds the uniforms as it bounds the amplitudes, and the tables are at most
 one per distinct P of the circuit (13 at n=4).
 
-`check_n` is the single range rule for n and `check_value`, which calls
-it first, the one for encoded values, alone or in a 1-D column. Each
-message starts with the name of the value it rejects; the CLI and the
-dataset sidecar parser name their flag or field from that first word.
+`statevector.check_int` checks every integer setting, n's through
+`check_n`, and `statevector.check_choice` every named choice. `check_value`
+is the one rule for encoded values, alone or in a 1-D column. Each message
+starts with the name of the value it rejects; the CLI and the dataset
+sidecar parser name their flag or field from that first word.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ from .statevector import (
     _INV_SQRT2,
     Circuit,
     GateOp,
+    check_choice,
+    check_int,
     check_shots,
     h,
     mcx,
@@ -109,23 +112,17 @@ class PerceptronConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "shots", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:  # not a bool, a float or a numpy int
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         check_n(self.n)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_choice("mode", self.mode, MODES)
+        check_int("shots", self.shots)  # exact mode reads no shots: any int will do
         if self.mode == "sampled":
             check_shots(self.shots)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_int("seed", self.seed, 0)
 
 
 def check_n(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= MAX_DATA_QUBITS."""
-    if not 1 <= n <= MAX_DATA_QUBITS:
-        raise ValueError(f"n must be between 1 and {MAX_DATA_QUBITS}, got {n}")
+    """Raise ValueError unless n is an int, 1 <= n <= MAX_DATA_QUBITS."""
+    check_int("n", n, 1, MAX_DATA_QUBITS)
 
 
 def check_value(value: int | Sequence[int], n: int, what: str) -> int:

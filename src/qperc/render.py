@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perceptron import check_value
+from .statevector import check_int
 
 FILLED_CHAR = "█"
 EMPTY_CHAR = "·"
@@ -46,6 +47,8 @@ def pattern_grid(
         rows = cols = 1 << (n // 2)
     if rows is None or cols is None:
         raise ValueError("pass both rows and cols, or neither")
+    check_int("rows", rows)
+    check_int("cols", cols)
     if rows < 1 or cols < 1 or rows * cols != m:
         raise ValueError(
             f"rows*cols must equal {m} for n={n}, got {rows}x{cols}"

@@ -145,8 +145,7 @@ class Circuit:
     ops: list[GateOp] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be at least 1")
+        check_int("num_qubits", self.num_qubits, 1)
         for op in self.ops:
             _check_op(op, self.num_qubits)
 
@@ -173,10 +172,7 @@ class StateVector:
 
 def new_zero_state(num_qubits: int) -> StateVector:
     """The |00...0> state on `num_qubits` qubits (1 to 24 inclusive)."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(
-            f"num_qubits must be between 1 and {MAX_QUBITS}, got {num_qubits}"
-        )
+    check_int("num_qubits", num_qubits, 1, MAX_QUBITS)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -360,8 +356,7 @@ def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
 
 def prob_qubit_one(state: StateVector, qubit: int) -> float:
     """Probability that measuring `qubit` yields 1."""
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
+    check_int("qubit", qubit, 0, state.num_qubits - 1)
     ones = state.amplitudes.reshape(1 << qubit, 2, -1)[:, 1, :]
     return float(np.sum(ones.real**2 + ones.imag**2))
 
@@ -379,10 +374,30 @@ def sample_qubit(
     return float(sample_rates(np.array([prob_qubit_one(state, qubit)]), shots, key)[0])
 
 
+def check_int(
+    name: str, value: int, low: int | None = None, high: int | None = None
+) -> None:
+    """The one rule for an integer setting: raise ValueError, starting with
+    `name`, unless `value` is a plain int (no bool, float or numpy int) in
+    [low, high]. A bound left None is open; a `high` needs a `low`."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+    if low is not None and value < low:
+        least = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {least}, got {value}")
+
+
+def check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    """Raise ValueError, starting with `name`, unless `value` is one of `choices`."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def check_shots(shots: int) -> None:
     """Raise ValueError unless 1 <= shots <= MAX_SHOTS."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
+    check_int("shots", shots, 1, MAX_SHOTS)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ import numpy as np
 from .ioutil import atomic_write_text, format_12g, is_probability, read_lines, round_12g
 from .ioutil import split_table
 from .perceptron import PerceptronConfig, closed_form_probability, measure_many
+from .statevector import check_choice
 
 MAX_SWEEP_QUBITS = 3
 
@@ -77,8 +78,7 @@ def compute_sweep(config: PerceptronConfig) -> SweepMatrix:
 
 def save_sweep(sweep: SweepMatrix, path: str | Path, fmt: str = "csv") -> None:
     """Write the matrix as CSV (value headers on row and column) or JSON."""
-    if fmt not in SWEEP_FORMATS:
-        raise ValueError(f"format must be one of {SWEEP_FORMATS}, got {fmt!r}")
+    check_choice("format", fmt, SWEEP_FORMATS)
     if fmt == "csv":
         atomic_write_text(path, _csv_text(sweep.probs))
         return
@@ -106,8 +106,10 @@ def load_sweep_csv(path: str | Path) -> np.ndarray:
     """
     lines = read_lines(path)
     size = lines[0].count(",") if lines else 0
-    if size not in (4, 16, 256):  # 2^(2^n) for n = 1..MAX_SWEEP_QUBITS
-        raise ValueError(f"{path}: line 1: expected 4, 16 or 256 columns, got {size}")
+    sizes = [1 << (1 << n) for n in range(1, MAX_SWEEP_QUBITS + 1)]
+    if size not in sizes:
+        expected = " or ".join(", ".join(map(str, sizes)).rsplit(", ", 1))
+        raise ValueError(f"{path}: line 1: expected {expected} columns, got {size}")
     header = ["", *map(str, range(size))]
     probs = np.empty((size, size), dtype=np.float64)
     for i, fields in enumerate(split_table(path, lines, header, size, ValueError)):

@@ -50,6 +50,7 @@ import numpy as np
 from .dataset import Dataset, label_from_probability
 from .ioutil import atomic_writer, is_probability, read_lines
 from .perceptron import MAX_DATA_QUBITS, check_value, measure_many
+from .statevector import check_choice, check_int
 
 ACTIONS = ("none", "flip_non_matching", "flip_matching")
 
@@ -74,15 +75,9 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate}"
             )
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.convergence_mode not in CONVERGENCE_MODES:
-            raise ValueError(
-                f"convergence_mode must be one of {CONVERGENCE_MODES}, "
-                f"got {self.convergence_mode!r}"
-            )
+        check_int("max_epochs", self.max_epochs, 1)
+        check_int("seed", self.seed, 0)
+        check_choice("convergence_mode", self.convergence_mode, CONVERGENCE_MODES)
 
 
 @dataclass(frozen=True)
@@ -144,8 +139,8 @@ def flip_bits(
     positions = sorted(candidates)
     if not positions:
         raise ValueError("candidates must be non-empty")
-    if any(p < 0 for p in positions):
-        raise ValueError("bit positions must be non-negative")
+    for p in positions:
+        check_int("bit position", p, 0)
     k = max(1, math.floor(learning_rate * len(positions)))
     chosen = rng.choice(len(positions), size=k, replace=False)
     flipped = tuple(sorted(positions[int(c)] for c in chosen))
@@ -266,25 +261,24 @@ def save_trace(steps: Iterable[TrainStep], path: str | Path) -> None:
             write(step)
 
 
-def _field_error(name: str, value: object) -> str | None:
-    """Why `value` cannot be the TrainStep field `name`, or None if it can.
+def _check_field(name: str, value: object) -> None:
+    """Raise ValueError, starting with `name`, unless `value` fits that field.
 
     type(), not isinstance, so JSON true/false is no number; p1 must pass
     is_probability, as a dataset's probabilities must.
     """
     if name == "action":
-        ok, want = value in ACTIONS, f"one of {list(ACTIONS)}"
+        check_choice(name, value, ACTIONS)
     elif name == "p1":
-        ok = type(value) in (int, float) and is_probability(value)
-        want = "a number in [0, 1]"
-    elif name in ("predicted", "actual"):
-        ok, want = type(value) is int and value in (0, 1), "0 or 1"
+        if not (type(value) in (int, float) and is_probability(value)):
+            raise ValueError(f"p1 must be a number in [0, 1], got {value!r}")
     elif name == "flipped_positions":
-        ok = type(value) is list and all(type(p) is int and p >= 0 for p in value)
-        want = "a list of non-negative integers"
-    else:  # epoch, example_value, weight_before, weight_after
-        ok, want = type(value) is int and value >= 0, "a non-negative integer"
-    return None if ok else f"field {name!r} must be {want}, got {value!r}"
+        if type(value) is not list:
+            raise ValueError(f"flipped_positions must be a list, got {value!r}")
+        for p in value:
+            check_int(name, p, 0)
+    else:  # predicted and actual 0 or 1; epoch, example_value and weights >= 0
+        check_int(name, value, 0, 1 if name in ("predicted", "actual") else None)
 
 
 def load_trace(path: str | Path) -> list[TrainStep]:
@@ -302,10 +296,11 @@ def load_trace(path: str | Path) -> list[TrainStep]:
                 f"{path}: line {lineno}: expected an object with exactly the "
                 f"fields {sorted(_STEP_FIELDS)}"
             )
-        for name, value in record.items():
-            error = _field_error(name, value)
-            if error:
-                raise ValueError(f"{path}: line {lineno}: {error}")
+        try:
+            for name, value in record.items():
+                _check_field(name, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: field {name!r}: {exc}") from None
         record["flipped_positions"] = tuple(record["flipped_positions"])
         steps.append(TrainStep(**record))
     return steps

@@ -201,7 +201,7 @@ def _trace_with(path, name, value):
 def test_load_trace_rejects_out_of_range_values_naming_them(tmp_path, name, value):
     path = tmp_path / "trace.jsonl"
     _trace_with(path, name, value)
-    message = f"^{re.escape(str(path))}: line 2: field '{name}' must be "
+    message = f"^{re.escape(str(path))}: line 2: field '{name}': {name} must be "
     with pytest.raises(ValueError, match=message):
         load_trace(path)
 

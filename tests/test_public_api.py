@@ -22,7 +22,7 @@ from qperc import (
     train,
 )
 from qperc.perceptron import check_n
-from qperc.statevector import check_shots
+from qperc.statevector import Circuit, check_shots, new_zero_state
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,6 +77,13 @@ _REJECTIONS = [
     ("n", lambda: PerceptronConfig(n=True)),
     ("shots", lambda: PerceptronConfig(n=2, mode="sampled", shots=64.0)),
     ("seed", lambda: PerceptronConfig(n=2, seed=1.5)),
+    ("seed", lambda: TrainConfig(seed=1.5)),
+    ("seed", lambda: TrainConfig(seed=True)),
+    ("max_epochs", lambda: TrainConfig(max_epochs=2.5)),
+    ("n", lambda: check_n(2.0)),
+    ("num_qubits", lambda: new_zero_state(2.0)),
+    ("num_qubits", lambda: Circuit(2.0, [])),
+    ("rows", lambda: pattern_grid(5, 2, 2.0, 2.0)),
 ]
 
 

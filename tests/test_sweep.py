@@ -136,6 +136,16 @@ def test_sampled_mode_sweep_stays_in_range():
     assert sweep.probs.shape == (4, 4)
 
 
+def test_load_sweep_csv_takes_its_sizes_from_the_sweep_cap(tmp_path, monkeypatch):
+    path = tmp_path / "n3.csv"
+    save_sweep(compute_sweep(PerceptronConfig(n=3)), path)
+    assert load_sweep_csv(path).shape == (256, 256)
+    monkeypatch.setattr(sweep_module, "MAX_SWEEP_QUBITS", 2)
+    message = r"n3\.csv: line 1: expected 4 or 16 columns, got 256$"
+    with pytest.raises(ValueError, match=message):
+        load_sweep_csv(path)
+
+
 def test_load_sweep_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not,a,sweep\n1,2,3\n")
