@@ -17,7 +17,7 @@ file's text; like every qperc write it goes through `ioutil.atomic_writer`,
 and the file's mode follows the umask. `load_dataset` leaves the header,
 row count, row widths and value column to `ioutil.split_table`, the
 structure reader it shares with `sweep.load_sweep_csv`, and checks only
-labels and probabilities.
+labels and probabilities, each by its one rule.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, atomic_writer, format_12g, is_probability
-from .ioutil import read_lines, split_table
+from .ioutil import atomic_write_text, atomic_writer, check_probability, format_12g
+from .ioutil import is_probability, placed, read_lines, split_table
 from .perceptron import BLOCK_ROWS, PerceptronConfig, check_value, measure_many
-from .statevector import check_int
+from .statevector import check_choice, check_int
 
 CSV_HEADER = "value,label,probability"
 
@@ -96,9 +96,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         )
     bad = np.flatnonzero(~is_probability(probabilities))
     if len(bad):
-        raise ValueError(
-            f"row {bad[0]}: probability out of [0, 1]: {probabilities[bad[0]]}"
-        )
+        check_probability(f"probability of row {bad[0]}", float(probabilities[bad[0]]))
     texts, index = format_12g(probabilities)
     # Row k is str(k) plus one ",label,P" suffix per (label, distinct P).
     suffixes = [f",{label},{text}\n" for text in texts for label in (0, 1)]
@@ -132,14 +130,12 @@ def _parse_meta(path: Path) -> tuple[PerceptronConfig, int]:
     for key in (*_CONFIG_KEYS, "optimal_weight"):
         if key not in meta:
             raise DatasetFormatError(f"{path}: missing field {key!r}")
-    # Each message starts with the name of the field it rejects.
     try:
         config = PerceptronConfig(**{key: meta[key] for key in _CONFIG_KEYS})
         check_int("optimal_weight", meta["optimal_weight"])  # check_value takes 2.0
         check_value(meta["optimal_weight"], config.n, "optimal_weight")
     except ValueError as exc:
-        field = str(exc).split(" ", 1)[0]
-        raise DatasetFormatError(f"{path}: field {field!r}: {exc}") from None
+        raise DatasetFormatError(placed(path, None, exc)) from None
     return config, meta["optimal_weight"]
 
 
@@ -147,8 +143,8 @@ def load_dataset(path: str | Path) -> Dataset:
     """Parse and validate a dataset written by save_dataset.
 
     Raises DatasetFormatError naming the offending line and field when the
-    table is malformed (see split_table), a label is not exactly 0 or 1, or
-    a label disagrees with its stored probability.
+    table is malformed (see split_table), a label or probability fails its
+    rule, or a label disagrees with its stored probability.
     """
     path = Path(path)
     config, optimal_weight = _parse_meta(_meta_path(path))
@@ -157,28 +153,13 @@ def load_dataset(path: str | Path) -> Dataset:
     rows = split_table(path, lines, header, 1 << (1 << config.n), DatasetFormatError)
     probabilities = []
     for lineno, (_, label, text) in enumerate(rows, 2):
-        if label not in ("0", "1"):
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'label': must be '0' or '1', "
-                f"got {label!r}"
-            )
-        try:
-            probability = float(text)
-        except ValueError:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'probability': "
-                f"not a number: {text!r}"
-            ) from None
-        if not is_probability(probability):
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'probability': "
-                f"out of [0, 1]: {probability}"
-            )
-        if int(label) != label_from_probability(probability):
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: field 'label': {label} disagrees "
-                f"with probability {probability}"
-            )
-        probabilities.append(probability)
+        try:  # the cell checks only: split_table places its own errors
+            check_choice("label", label, ("0", "1"))
+            p = check_probability("probability", text, parse=True)
+            if int(label) != label_from_probability(p):
+                raise ValueError(f"label {label} disagrees with probability {p}")
+        except ValueError as exc:
+            raise DatasetFormatError(placed(path, lineno, exc)) from None
+        probabilities.append(p)
 
     return Dataset(config, optimal_weight, np.array(probabilities))

@@ -1,6 +1,6 @@
-"""Atomic file writes (temp file in the destination directory, then
-rename), UTF-8 reads and CSV table checks whose errors name the line, and
-the range and 12-significant-digit text of the probabilities files store.
+"""Atomic file writes (temp file beside the target, then rename), UTF-8
+reads, CSV table checks whose errors name the line, the one probability
+rule and its 12-digit text, and `placed`, which places a rule's message.
 """
 
 from __future__ import annotations
@@ -141,3 +141,27 @@ def is_probability(p: float | np.ndarray) -> bool | np.ndarray:
     """Whether p (or each entry of it) is in [0, 1 + 1e-9], the range every
     loader takes, as summed squares can overshoot 1; NaN is outside."""
     return (p >= 0.0) & (p <= 1.0 + 1e-9)
+
+
+def check_probability(name: str, value: object, parse: bool = False) -> float:
+    """The one rule for a stored probability: return `value`'s number, or raise
+    ValueError, starting with `name`, unless it is an int or float (no bool),
+    or with parse a CSV cell float() reads, that passes is_probability."""
+    try:
+        number = float(value) if parse else value
+    except ValueError:
+        number = None
+    if type(number) not in (int, float) or not is_probability(number):
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    return number
+
+
+def placed(
+    path: str | Path, line: int | None, exc: ValueError, column: int | None = None
+) -> str:
+    """`<path>: line k: field '<name>': <message>` for a rule's ValueError,
+    whose message starts with the name of what it rejects. A JSON sidecar has
+    no line; a CSV matrix cell gives `column w` in place of the field."""
+    name = str(exc).split(" ", 1)[0]
+    where = f"field {name!r}" if column is None else f"column {column}"
+    return f"{path}: {'' if line is None else f'line {line}: '}{where}: {exc}"

@@ -12,7 +12,8 @@ weight-major, one weight per row. Cells are stored at the file format's
 12-significant-digit precision, which makes the saved and in-memory
 matrices agree exactly; each distinct float is formatted once. A CSV
 matrix is 4, 16 or 256 square, and `load_sweep_csv` reads it through
-`ioutil.split_table`, the structure reader it shares with `load_dataset`.
+`ioutil.split_table`, the structure reader it shares with `load_dataset`,
+then each cell by `ioutil.check_probability`, the dataset's rule.
 
 In exact mode every cell is also checked against the closed-form
 probability and the largest absolute deviation is kept on the result.
@@ -29,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_12g, is_probability, read_lines, round_12g
-from .ioutil import split_table
+from .ioutil import atomic_write_text, check_probability, format_12g, placed
+from .ioutil import read_lines, round_12g, split_table
 from .perceptron import PerceptronConfig, closed_form_probability, measure_many
 from .statevector import check_choice
 
@@ -102,7 +103,7 @@ def _csv_text(probs: np.ndarray) -> str:
 def load_sweep_csv(path: str | Path) -> np.ndarray:
     """Read back a CSV matrix written by save_sweep; errors name the line.
 
-    Every cell must pass is_probability, as a dataset's probabilities must.
+    Every cell must pass check_probability, as a dataset's probabilities must.
     """
     lines = read_lines(path)
     size = lines[0].count(",") if lines else 0
@@ -113,15 +114,9 @@ def load_sweep_csv(path: str | Path) -> np.ndarray:
     header = ["", *map(str, range(size))]
     probs = np.empty((size, size), dtype=np.float64)
     for i, fields in enumerate(split_table(path, lines, header, size, ValueError)):
-        where = f"{path}: line {i + 2}"
-        try:
-            probs[i] = [float(f) for f in fields[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        outside = ~is_probability(probs[i])
-        if outside.any():
-            w = int(np.argmax(outside))
-            raise ValueError(
-                f"{where}: column {w}: probability out of [0, 1]: {probs[i, w]}"
-            )
+        for w, text in enumerate(fields[1:]):
+            try:  # around the cell only: split_table places its own errors
+                probs[i, w] = check_probability("probability", text, parse=True)
+            except ValueError as exc:
+                raise ValueError(placed(path, i + 2, exc, w)) from None
     return probs

@@ -33,7 +33,9 @@ weight, epoch), and the rng makes the same calls in the same order.
 Each step goes to a sink as soon as it is made. train() collects them in
 TrainResult.trace by default; trace_writer() is a sink that streams them
 to a JSON-lines file, in the format save_trace writes, so a long run holds
-no trace in memory.
+no trace in memory. load_trace checks each field by its rule, p1's being
+`ioutil.check_probability`, then the record against the rules train wrote
+it by; a fault reads `<path>: line k: field '<name>': <message>`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .dataset import Dataset, label_from_probability
-from .ioutil import atomic_writer, is_probability, read_lines
+from .ioutil import atomic_writer, check_probability, placed, read_lines
 from .perceptron import MAX_DATA_QUBITS, check_value, measure_many
 from .statevector import check_choice, check_int
 
@@ -71,10 +73,10 @@ class TrainConfig:
     convergence_mode: str = "functional"
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(
-                f"learning_rate must be in (0, 1], got {self.learning_rate}"
-            )
+        rate = self.learning_rate
+        number = isinstance(rate, (int, float, np.integer, np.floating))
+        if isinstance(rate, bool) or not (number and 0.0 < rate <= 1.0):
+            raise ValueError(f"learning_rate must be in (0, 1], got {rate!r}")
         check_int("max_epochs", self.max_epochs, 1)
         check_int("seed", self.seed, 0)
         check_choice("convergence_mode", self.convergence_mode, CONVERGENCE_MODES)
@@ -117,6 +119,7 @@ def init_weight(n: int, seed: int) -> int:
 
 def count_non_matching_bits(weight: int, value: int, m: int) -> int:
     """Number of positions, out of m = 2^n bits, where two checked values differ."""
+    check_int("m", m)
     n = m.bit_length() - 1
     if not 1 <= n <= MAX_DATA_QUBITS or m != 1 << n:
         raise ValueError(f"m must be 2^n for 1 <= n <= {MAX_DATA_QUBITS}, got {m}")
@@ -134,13 +137,16 @@ def flip_bits(
     """Flip max(1, floor(learning_rate * |candidates|)) candidate bits.
 
     Positions are chosen uniformly without replacement. Returns the new
-    weight and the flipped positions, ascending.
+    weight and the flipped positions, ascending. The candidates must be
+    distinct: a repeated one could be drawn twice and flip back.
     """
     positions = sorted(candidates)
     if not positions:
         raise ValueError("candidates must be non-empty")
     for p in positions:
         check_int("bit position", p, 0)
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"candidates must be distinct, got {positions}")
     k = max(1, math.floor(learning_rate * len(positions)))
     chosen = rng.choice(len(positions), size=k, replace=False)
     flipped = tuple(sorted(positions[int(c)] for c in chosen))
@@ -261,28 +267,63 @@ def save_trace(steps: Iterable[TrainStep], path: str | Path) -> None:
             write(step)
 
 
+# A trace comes from an n <= MAX_DATA_QUBITS dataset, of at most m = 16 bits:
+# its bit positions are below 16, its values and weights below 2^16.
+_MAX_M = 1 << MAX_DATA_QUBITS
+_HIGHEST = {"epoch": None, "predicted": 1, "actual": 1}
+
+
 def _check_field(name: str, value: object) -> None:
     """Raise ValueError, starting with `name`, unless `value` fits that field.
 
-    type(), not isinstance, so JSON true/false is no number; p1 must pass
-    is_probability, as a dataset's probabilities must.
+    The rules test type(), not isinstance, so JSON true/false is no number;
+    a JSON string p1 is refused too.
     """
     if name == "action":
         check_choice(name, value, ACTIONS)
     elif name == "p1":
-        if not (type(value) in (int, float) and is_probability(value)):
-            raise ValueError(f"p1 must be a number in [0, 1], got {value!r}")
+        check_probability(name, value)
     elif name == "flipped_positions":
         if type(value) is not list:
             raise ValueError(f"flipped_positions must be a list, got {value!r}")
         for p in value:
-            check_int(name, p, 0)
-    else:  # predicted and actual 0 or 1; epoch, example_value and weights >= 0
-        check_int(name, value, 0, 1 if name in ("predicted", "actual") else None)
+            check_int(name, p, 0, _MAX_M - 1)
+        if value != sorted(set(value)):
+            raise ValueError(f"{name} must be strictly ascending, got {value}")
+    else:  # an int field: at most its _HIGHEST; values and weights below 2^16
+        check_int(name, value, 0, _HIGHEST.get(name, (1 << _MAX_M) - 1))
+
+
+def _check_step(record: dict) -> None:
+    """Raise ValueError, starting with the field at fault, unless a record
+    whose fields each fit is a step train could write."""
+    p1, predicted, actual = record["p1"], record["predicted"], record["actual"]
+    flipped = record["flipped_positions"]
+    want = label_from_probability(p1)
+    if predicted != want:
+        raise ValueError(f"predicted must be {want} for p1 {p1!r}, got {predicted}")
+    after = record["weight_before"] ^ sum(1 << p for p in flipped)  # distinct bits
+    if record["weight_after"] != after:
+        raise ValueError(
+            f"weight_after must be {after}, weight_before with flipped_positions "
+            f"toggled, got {record['weight_after']}"
+        )
+    if flipped and predicted == actual:
+        raise ValueError(
+            f"flipped_positions must be empty when predicted equals actual, "
+            f"got {flipped}"
+        )
+    action = ("flip_non_matching" if actual else "flip_matching") if flipped else "none"
+    if record["action"] != action:
+        raise ValueError(
+            f"action must be {action!r} for flipped_positions {flipped} and "
+            f"actual {actual}, got {record['action']!r}"
+        )
 
 
 def load_trace(path: str | Path) -> list[TrainStep]:
-    """Read save_trace output; a malformed record raises ValueError naming its line."""
+    """Read save_trace output; a malformed record, or one train could not
+    have written, raises ValueError naming its line and field."""
     steps = []
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
@@ -299,8 +340,9 @@ def load_trace(path: str | Path) -> list[TrainStep]:
         try:
             for name, value in record.items():
                 _check_field(name, value)
+            _check_step(record)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: field {name!r}: {exc}") from None
+            raise ValueError(placed(path, lineno, exc)) from None
         record["flipped_positions"] = tuple(record["flipped_positions"])
         steps.append(TrainStep(**record))
     return steps

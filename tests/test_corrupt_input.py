@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperc.dataset import generate_dataset, load_dataset, save_dataset
+from qperc.dataset import generate_dataset, label_from_probability, load_dataset
+from qperc.dataset import save_dataset
 from qperc.perceptron import PerceptronConfig
 from qperc.sweep import compute_sweep, load_sweep_csv, save_sweep
 from qperc.training import ACTIONS, TrainConfig, load_trace, save_trace, train
@@ -172,12 +173,14 @@ def test_load_trace_rejects_wrongly_typed_fields_naming_them(data):
             load_trace(path)
 
 
-def _trace_with(path, name, value):
-    """A saved trace whose second record holds `value` in field `name`."""
+def _trace_with(path, name, value, **others):
+    """A saved trace whose second record holds `value` in field `name`, and
+    the `others` in theirs."""
     save_trace(_TRACE, path)
     lines = path.read_text().splitlines()
     record = json.loads(lines[1])
     record[name] = value
+    record.update(others)
     lines[1] = json.dumps(record)  # writes NaN and Infinity as JSON extensions
     path.write_text("\n".join(lines) + "\n")
 
@@ -209,8 +212,43 @@ def test_load_trace_rejects_out_of_range_values_naming_them(tmp_path, name, valu
 @pytest.mark.parametrize("p1", [0, 1, 1.0 + 1e-10])
 def test_load_trace_takes_p1_within_the_dataset_slack(tmp_path, p1):
     path = tmp_path / "trace.jsonl"
-    _trace_with(path, "p1", p1)
+    _trace_with(path, "p1", p1, predicted=label_from_probability(p1))
     assert load_trace(path)[1].p1 == p1
+
+
+# A step train could write at n=2: p1 0.75 predicts 1, the actual 0 is
+# missed, so bits 0 and 3, where weight 5 and input 3 agree, flip (5 ^ 9 = 12).
+_STEP = {
+    "epoch": 1, "example_value": 3, "p1": 0.75, "predicted": 1, "actual": 0,
+    "action": "flip_matching", "flipped_positions": [0, 3], "weight_before": 5,
+    "weight_after": 12,
+}
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"p1": 0.25}, "predicted"),
+        ({"flipped_positions": [3, 0]}, "flipped_positions"),
+        ({"flipped_positions": [3, 3], "weight_after": 5}, "flipped_positions"),
+        ({"flipped_positions": [16], "weight_after": 5 ^ 1 << 16}, "flipped_positions"),
+        ({"example_value": 1 << 16}, "example_value"),
+        ({"weight_before": 1 << 70, "weight_after": 7}, "weight_before"),
+        ({"weight_after": 1 << 16}, "weight_after"),
+        ({"weight_after": 1}, "weight_after"),
+        ({"actual": 1}, "flipped_positions"),
+        ({"action": "none"}, "action"),
+        ({"action": "flip_non_matching"}, "action"),
+        ({"flipped_positions": [], "weight_after": 5}, "action"),
+    ],
+)
+def test_load_trace_rejects_a_step_train_could_not_write(tmp_path, edit, field):
+    # Line 1, _STEP itself, loads: the error names line 2.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(_STEP) + "\n" + json.dumps({**_STEP, **edit}) + "\n")
+    message = f"^{re.escape(str(path))}: line 2: field '{field}': {field} must be "
+    with pytest.raises(ValueError, match=message):
+        load_trace(path)
 
 
 # A form feed, which str.splitlines would also break at, does not move the
@@ -223,7 +261,7 @@ def test_load_dataset_names_the_line_holding_a_form_feed(tmp_path):
     lines = path.read_text().split("\n")
     lines[4] = lines[4].replace(",", ",\f", 1)  # line 5, the row of value 3
     path.write_text("\n".join(lines))
-    with pytest.raises(ValueError, match=r"line 5: field 'label': must be '0' or '1'"):
+    with pytest.raises(ValueError, match=r"line 5: field 'label': label must be one of"):
         load_dataset(path)
 
 

@@ -219,7 +219,8 @@ def test_save_refuses_a_probability_load_would_refuse(tmp_path, bad):
     column = np.full(16, 0.25)
     column[[5, 9]] = bad
     column[3] = 1.0 + 1e-10  # inside is_probability's slack, as on load
-    with pytest.raises(ValueError, match=rf"^row 5: probability out of \[0, 1\]: {bad}$"):
+    message = rf"^probability of row 5 must be a number in \[0, 1\], got {bad}$"
+    with pytest.raises(ValueError, match=message):
         save_dataset(Dataset(PerceptronConfig(n=2), 12, column), tmp_path / "data.csv")
     assert list(tmp_path.iterdir()) == []
 

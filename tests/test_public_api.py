@@ -84,6 +84,9 @@ _REJECTIONS = [
     ("num_qubits", lambda: new_zero_state(2.0)),
     ("num_qubits", lambda: Circuit(2.0, [])),
     ("rows", lambda: pattern_grid(5, 2, 2.0, 2.0)),
+    ("learning_rate", lambda: TrainConfig(learning_rate="0.5")),
+    ("learning_rate", lambda: TrainConfig(learning_rate=True)),
+    ("m", lambda: count_non_matching_bits(1, 2, 4.0)),
 ]
 
 

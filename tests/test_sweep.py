@@ -164,14 +164,14 @@ def _matrix(*rows, header=",0,1,2,3"):
 @pytest.mark.parametrize(
     "text, match",
     [
-        (_matrix("0,1,x,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: could not convert string to float: 'x'"),
+        (_matrix("0,1,x,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: column 1: probability must be a number in \[0, 1\], got 'x'$"),
         (_matrix(_ROWS[0], "x,0.5,1,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: row index: expected '1' \(ascending, gap-free\), got 'x'$"),
         (_matrix(_ROWS[0], "1,0.5,1,1", *_ROWS[2:]), r"bad\.csv: line 3: expected 5 fields, got 4$"),
-        (_matrix("0,1,nan,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: column 1: probability out of \[0, 1\]: nan"),
-        (_matrix(_ROWS[0], "1,-3,1,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 0: probability out of \[0, 1\]: -3\.0"),
-        (_matrix("0,inf,0.5,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: column 0: probability out of \[0, 1\]: inf"),
-        (_matrix(_ROWS[0], "1,0.5,1e300,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 1: probability out of \[0, 1\]: 1e\+300"),
-        (_matrix(_ROWS[0], "1,0.5,-inf,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 1: probability out of \[0, 1\]: -inf"),
+        (_matrix("0,1,nan,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: column 1: probability must be a number in \[0, 1\], got 'nan'$"),
+        (_matrix(_ROWS[0], "1,-3,1,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 0: probability must be a number in \[0, 1\], got '-3'$"),
+        (_matrix("0,inf,0.5,0.5,1", *_ROWS[1:]), r"bad\.csv: line 2: column 0: probability must be a number in \[0, 1\], got 'inf'$"),
+        (_matrix(_ROWS[0], "1,0.5,1e300,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 1: probability must be a number in \[0, 1\], got '1e300'$"),
+        (_matrix(_ROWS[0], "1,0.5,-inf,1,0.5", *_ROWS[2:]), r"bad\.csv: line 3: column 1: probability must be a number in \[0, 1\], got '-inf'$"),
         ("", r"bad\.csv: line 1: expected 4, 16 or 256 columns, got 0$"),
         ("0,1\n", r"bad\.csv: line 1: expected 4, 16 or 256 columns, got 1$"),
         # every sweep is 2^m x 2^m for m = 2^n, n = 1..3: no other square loads
@@ -216,7 +216,7 @@ def test_load_sweep_csv_takes_the_dataset_slack_over_1(tmp_path):
     path.write_text(_matrix(_ROWS[0], "1,0.5,1.0000000001,1,0.5", *_ROWS[2:]))
     assert load_sweep_csv(path)[1, 1] == 1.0000000001
     path.write_text(_matrix(_ROWS[0], "1,1.000000002,1,1,0.5", *_ROWS[2:]))
-    match = r"p\.csv: line 3: column 0: probability out of \[0, 1\]: 1\.000000002$"
+    match = r"p\.csv: line 3: column 0: probability must be a number in \[0, 1\], got '1\.000000002'$"
     with pytest.raises(ValueError, match=match):
         load_sweep_csv(path)
 

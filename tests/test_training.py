@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qperc.training as training
-from qperc.dataset import Dataset, generate_dataset
+from qperc.dataset import Dataset, generate_dataset, label_from_probability
 from qperc.perceptron import BLOCK_ROWS, PerceptronConfig, measure_many
 from qperc.training import (
-    ACTIONS,
     TrainConfig,
     TrainResult,
     TrainStep,
@@ -128,6 +127,15 @@ def test_flip_bits_deterministic_given_seed():
 def test_flip_bits_rejects_empty_candidates():
     with pytest.raises(ValueError):
         flip_bits(0, [], 0.5, np.random.default_rng(0))
+
+
+def test_flip_bits_rejects_repeated_candidates():
+    # Bit 1 drawn twice would flip back: two flips reported, none made.
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^candidates must be distinct, got \[1, 1\]$"):
+        flip_bits(0, [1, 1], 1.0, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_train_converged_at_initialization(dataset12):
@@ -361,24 +369,36 @@ def test_load_trace_rejects_non_list_flipped_positions(tmp_path, dataset12):
         load_trace(path)
 
 
-_steps = st.builds(
-    TrainStep,
-    epoch=st.integers(1, 1000),
-    example_value=st.integers(0, 65535),
-    p1=st.floats(0.0, 1.0),
-    predicted=st.integers(0, 1),
-    actual=st.integers(0, 1),
-    action=st.sampled_from(ACTIONS),
-    flipped_positions=st.lists(st.integers(0, 15), unique=True).map(
-        lambda positions: tuple(sorted(positions))
-    ),
-    weight_before=st.integers(0, 65535),
-    weight_after=st.integers(0, 65535),
-)
+@st.composite
+def _steps(draw):
+    """A step train could write: predicted, action and weight_after follow
+    from the other fields, and bits flip only on a miss."""
+    p1 = draw(st.floats(0.0, 1.0))
+    predicted = label_from_probability(p1)
+    actual = draw(st.integers(0, 1))
+    flipped = ()
+    if predicted != actual:
+        flipped = tuple(sorted(draw(st.lists(st.integers(0, 15), unique=True))))
+    weight_before = draw(st.integers(0, 65535))
+    weight_after = weight_before
+    for p in flipped:
+        weight_after ^= 1 << p
+    action = "flip_non_matching" if actual else "flip_matching"
+    return TrainStep(
+        epoch=draw(st.integers(1, 1000)),
+        example_value=draw(st.integers(0, 65535)),
+        p1=p1,
+        predicted=predicted,
+        actual=actual,
+        action=action if flipped else "none",
+        flipped_positions=flipped,
+        weight_before=weight_before,
+        weight_after=weight_after,
+    )
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(_steps, max_size=20))
+@given(st.lists(_steps(), max_size=20))
 def test_save_load_trace_round_trip_property(steps):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
