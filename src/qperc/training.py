@@ -30,12 +30,17 @@ same steps as measuring one example at a time: a row's P does not depend
 on which batch it is in, sampled draws are keyed by (seed, input,
 weight, epoch), and the rng makes the same calls in the same order.
 
-Each step goes to a sink as soon as it is made. train() collects them in
-TrainResult.trace by default; trace_writer() is a sink that streams them
-to a JSON-lines file, in the format save_trace writes, so a long run holds
-no trace in memory. load_trace checks each field by its rule, p1's being
-`ioutil.check_probability`, then the record against the rules train wrote
-it by; a fault reads `<path>: line k: field '<name>': <message>`.
+A TrainStep stores the six values train decides (epoch, example_value,
+p1, actual, flipped_positions, weight_before); predicted, action and
+weight_after are properties derived from them, so a step cannot
+contradict itself. Each step goes to a sink as soon as it is made. train()
+collects them in TrainResult.trace by default; trace_writer() is a sink
+that streams them to a JSON-lines file of all nine keys, in the format
+save_trace writes, so a long run holds no trace in memory. load_trace
+checks each field by its rule, p1's being `ioutil.check_probability`,
+builds the step from the six stored fields and compares the three derived
+ones with its properties; a fault reads
+`<path>: line k: field '<name>': <message>`.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import numpy as np
 
 from .dataset import Dataset, label_from_probability
 from .ioutil import atomic_writer, check_probability, placed, read_lines
-from .perceptron import MAX_DATA_QUBITS, check_value, measure_many
+from .perceptron import MAX_DATA_QUBITS, check_n, check_value, measure_many
 from .statevector import check_choice, check_int
 
 ACTIONS = ("none", "flip_non_matching", "flip_matching")
@@ -61,6 +66,13 @@ CONVERGENCE_MODES = ("strict", "functional")
 # Rows in the first look-ahead chunk after a weight change; each chunk used
 # up without a change doubles the next.
 LOOKAHEAD_ROWS = 64
+
+
+def _check_learning_rate(rate: float) -> None:
+    """Raise ValueError unless `rate` is a real number, no bool, in (0, 1]."""
+    number = isinstance(rate, (int, float, np.integer, np.floating))
+    if isinstance(rate, bool) or not (number and 0.0 < rate <= 1.0):
+        raise ValueError(f"learning_rate must be in (0, 1], got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +85,7 @@ class TrainConfig:
     convergence_mode: str = "functional"
 
     def __post_init__(self):
-        rate = self.learning_rate
-        number = isinstance(rate, (int, float, np.integer, np.floating))
-        if isinstance(rate, bool) or not (number and 0.0 < rate <= 1.0):
-            raise ValueError(f"learning_rate must be in (0, 1], got {rate!r}")
+        _check_learning_rate(self.learning_rate)
         check_int("max_epochs", self.max_epochs, 1)
         check_int("seed", self.seed, 0)
         check_choice("convergence_mode", self.convergence_mode, CONVERGENCE_MODES)
@@ -84,20 +93,43 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainStep:
-    """One example evaluation, including the weight transition it caused."""
+    """One example evaluation: what train decided, and what follows from it."""
 
     epoch: int
     example_value: int
     p1: float
-    predicted: int
     actual: int
-    action: str
     flipped_positions: tuple[int, ...]
     weight_before: int
-    weight_after: int
+
+    @property
+    def predicted(self) -> int:
+        return label_from_probability(self.p1)
+
+    @property
+    def action(self) -> str:
+        if not self.flipped_positions:
+            return "none"
+        return "flip_non_matching" if self.actual else "flip_matching"
+
+    @property
+    def weight_after(self) -> int:
+        weight = self.weight_before
+        for p in self.flipped_positions:
+            weight ^= 1 << p
+        return weight
 
 
-_STEP_FIELDS = {f.name for f in fields(TrainStep)}
+# A trace record holds the six fields and the three properties, which
+# load_trace compares in this order, naming what each follows from.
+_STORED = tuple(f.name for f in fields(TrainStep))
+_DERIVED = {
+    "predicted": "p1 {p1!r}",
+    "weight_after": "weight_before {weight_before} and flipped_positions "
+    "{flipped_positions}",
+    "action": "flipped_positions {flipped_positions} and actual {actual}",
+}
+_STEP_FIELDS = {*_STORED, *_DERIVED}
 
 
 @dataclass
@@ -113,6 +145,8 @@ class TrainResult:
 
 def init_weight(n: int, seed: int) -> int:
     """Uniform draw from [0, 2^(2^n) - 1] using a fresh PCG64 generator."""
+    check_n(n)
+    check_int("seed", seed, 0)
     m = 1 << n
     return int(np.random.default_rng(seed).integers(0, 1 << m))
 
@@ -128,6 +162,12 @@ def count_non_matching_bits(weight: int, value: int, m: int) -> int:
     return (int(weight) ^ int(value)).bit_count()
 
 
+def _candidates(weight: int, value: int, label: int, m: int) -> int:
+    """The mask of the m-bit weight's bits a miss on (value, label) may flip:
+    those where weight ^ value equals the label."""
+    return weight ^ value ^ (0 if label else (1 << m) - 1)
+
+
 def flip_bits(
     weight: int,
     candidates: Iterable[int],
@@ -140,6 +180,7 @@ def flip_bits(
     weight and the flipped positions, ascending. The candidates must be
     distinct: a repeated one could be drawn twice and flip back.
     """
+    _check_learning_rate(learning_rate)
     positions = sorted(candidates)
     if not positions:
         raise ValueError("candidates must be non-empty")
@@ -198,30 +239,15 @@ def train(
             probs = measure_many(chunk, weight, measurement, epoch).tolist()
             for index, p1 in enumerate(probs, start):
                 label = labels[index]
-                predicted = label_from_probability(p1)
-                before, action = weight, "none"
-                flipped: tuple[int, ...] = ()
-                if predicted != label:
-                    mask = weight ^ index ^ (0 if label else full_mask)
+                before, flipped = weight, ()
+                if label_from_probability(p1) != label:
+                    mask = _candidates(weight, index, label, m)
                     if mask:
-                        action = "flip_non_matching" if label else "flip_matching"
                         positions = [p for p in range(m) if mask >> p & 1]
                         weight, flipped = flip_bits(
                             weight, positions, config.learning_rate, rng
                         )
-                on_step(
-                    TrainStep(
-                        epoch=epoch,
-                        example_value=index,
-                        p1=p1,
-                        predicted=predicted,
-                        actual=label,
-                        action=action,
-                        flipped_positions=flipped,
-                        weight_before=before,
-                        weight_after=weight,
-                    )
-                )
+                on_step(TrainStep(epoch, index, p1, label, flipped, before))
                 if flipped:
                     updates += 1
                     if weight in targets:
@@ -270,7 +296,7 @@ def save_trace(steps: Iterable[TrainStep], path: str | Path) -> None:
 # A trace comes from an n <= MAX_DATA_QUBITS dataset, of at most m = 16 bits:
 # its bit positions are below 16, its values and weights below 2^16.
 _MAX_M = 1 << MAX_DATA_QUBITS
-_HIGHEST = {"epoch": None, "predicted": 1, "actual": 1}
+_BOUNDS = {"epoch": (1, None), "predicted": (0, 1), "actual": (0, 1)}
 
 
 def _check_field(name: str, value: object) -> None:
@@ -290,40 +316,43 @@ def _check_field(name: str, value: object) -> None:
             check_int(name, p, 0, _MAX_M - 1)
         if value != sorted(set(value)):
             raise ValueError(f"{name} must be strictly ascending, got {value}")
-    else:  # an int field: at most its _HIGHEST; values and weights below 2^16
-        check_int(name, value, 0, _HIGHEST.get(name, (1 << _MAX_M) - 1))
+    else:  # an int field in its _BOUNDS; values and weights below 2^16
+        check_int(name, value, *_BOUNDS.get(name, (0, (1 << _MAX_M) - 1)))
 
 
-def _check_step(record: dict) -> None:
-    """Raise ValueError, starting with the field at fault, unless a record
-    whose fields each fit is a step train could write."""
-    p1, predicted, actual = record["p1"], record["predicted"], record["actual"]
-    flipped = record["flipped_positions"]
-    want = label_from_probability(p1)
-    if predicted != want:
-        raise ValueError(f"predicted must be {want} for p1 {p1!r}, got {predicted}")
-    after = record["weight_before"] ^ sum(1 << p for p in flipped)  # distinct bits
-    if record["weight_after"] != after:
+def _check_derived(record: dict, step: TrainStep) -> None:
+    """Raise ValueError, starting with the field at fault, unless the record's
+    derived fields are `step`'s, and its bits flip only on a miss and only
+    where a miss lets them at m = 16."""
+    hit = step.predicted == step.actual
+    for name, rule in _DERIVED.items():
+        if name == "action" and step.flipped_positions and hit:
+            raise ValueError(
+                f"flipped_positions must be empty when predicted equals actual, "
+                f"got {record['flipped_positions']}"
+            )
+        want, got = getattr(step, name), record[name]
+        if got != want:
+            rule = rule.format(**record)
+            raise ValueError(f"{name} must be {want!r} for {rule}, got {got!r}")
+    mask = _candidates(step.weight_before, step.example_value, step.actual, _MAX_M)
+    if any(not mask >> p & 1 for p in step.flipped_positions):
         raise ValueError(
-            f"weight_after must be {after}, weight_before with flipped_positions "
-            f"toggled, got {record['weight_after']}"
-        )
-    if flipped and predicted == actual:
-        raise ValueError(
-            f"flipped_positions must be empty when predicted equals actual, "
-            f"got {flipped}"
-        )
-    action = ("flip_non_matching" if actual else "flip_matching") if flipped else "none"
-    if record["action"] != action:
-        raise ValueError(
-            f"action must be {action!r} for flipped_positions {flipped} and "
-            f"actual {actual}, got {record['action']!r}"
+            f"flipped_positions must be bits where weight_before ^ example_value "
+            f"equals actual {step.actual}, got {record['flipped_positions']}"
         )
 
 
 def load_trace(path: str | Path) -> list[TrainStep]:
     """Read save_trace output; a malformed record, or one train could not
-    have written, raises ValueError naming its line and field."""
+    have written, raises ValueError naming its line and field.
+
+    Each field is checked by its rule (epochs count from 1), then the three
+    derived fields against the step built from the six stored ones. A trace
+    does not store m, so a flipped bit is checked as a candidate at m = 16,
+    the widest: necessary, not sufficient, for a narrower run. The flip
+    count is not checked, as it needs the learning rate.
+    """
     steps = []
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
@@ -340,9 +369,11 @@ def load_trace(path: str | Path) -> list[TrainStep]:
         try:
             for name, value in record.items():
                 _check_field(name, value)
-            _check_step(record)
+            stored = {name: record[name] for name in _STORED}
+            stored["flipped_positions"] = tuple(stored["flipped_positions"])
+            step = TrainStep(**stored)
+            _check_derived(record, step)
         except ValueError as exc:
             raise ValueError(placed(path, lineno, exc)) from None
-        record["flipped_positions"] = tuple(record["flipped_positions"])
-        steps.append(TrainStep(**record))
+        steps.append(step)
     return steps

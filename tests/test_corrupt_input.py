@@ -251,6 +251,28 @@ def test_load_trace_rejects_a_step_train_could_not_write(tmp_path, edit, field):
         load_trace(path)
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"epoch": 0}, "epoch"),
+        # Bit 1, where weight 5 and input 3 disagree, is no candidate for actual 0.
+        ({"flipped_positions": [1], "weight_after": 7}, "flipped_positions"),
+        # Bit 0, where they agree, is no candidate for a missed actual 1.
+        (
+            {
+                "p1": 0.0, "predicted": 0, "actual": 1, "action": "flip_non_matching",
+                "flipped_positions": [0], "weight_after": 4,
+            },
+            "flipped_positions",
+        ),
+    ],
+)
+def test_load_trace_rejects_an_epoch_or_a_flip_train_could_not_make(
+    tmp_path, edit, field
+):
+    test_load_trace_rejects_a_step_train_could_not_write(tmp_path, edit, field)
+
+
 # A form feed, which str.splitlines would also break at, does not move the
 # line an error names: lines end at "\n" or "\r\n" only.
 

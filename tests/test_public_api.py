@@ -6,6 +6,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qperc
@@ -15,7 +16,9 @@ from qperc import (
     assemble_perceptron_circuit,
     closed_form_probability,
     count_non_matching_bits,
+    flip_bits,
     generate_dataset,
+    init_weight,
     measure,
     measure_many,
     pattern_grid,
@@ -87,6 +90,13 @@ _REJECTIONS = [
     ("learning_rate", lambda: TrainConfig(learning_rate="0.5")),
     ("learning_rate", lambda: TrainConfig(learning_rate=True)),
     ("m", lambda: count_non_matching_bits(1, 2, 4.0)),
+    ("n", lambda: init_weight(5, 0)),
+    ("n", lambda: init_weight(0, 0)),
+    ("seed", lambda: init_weight(2, 1.5)),
+    ("seed", lambda: init_weight(2, -1)),
+    ("learning_rate", lambda: flip_bits(0, [1, 2], 2.0, np.random.default_rng(0))),
+    ("learning_rate", lambda: flip_bits(0, [1, 2], 0.0, np.random.default_rng(0))),
+    ("learning_rate", lambda: flip_bits(0, [1, 2], -1.0, np.random.default_rng(0))),
 ]
 
 

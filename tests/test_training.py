@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -371,30 +372,33 @@ def test_load_trace_rejects_non_list_flipped_positions(tmp_path, dataset12):
 
 @st.composite
 def _steps(draw):
-    """A step train could write: predicted, action and weight_after follow
-    from the other fields, and bits flip only on a miss."""
+    """A step train could write: bits flip only on a miss, and only where
+    weight_before ^ example_value equals actual (candidates at m = 16)."""
     p1 = draw(st.floats(0.0, 1.0))
-    predicted = label_from_probability(p1)
     actual = draw(st.integers(0, 1))
+    value, weight = draw(st.integers(0, 65535)), draw(st.integers(0, 65535))
     flipped = ()
-    if predicted != actual:
-        flipped = tuple(sorted(draw(st.lists(st.integers(0, 15), unique=True))))
-    weight_before = draw(st.integers(0, 65535))
-    weight_after = weight_before
-    for p in flipped:
-        weight_after ^= 1 << p
-    action = "flip_non_matching" if actual else "flip_matching"
-    return TrainStep(
-        epoch=draw(st.integers(1, 1000)),
-        example_value=draw(st.integers(0, 65535)),
-        p1=p1,
-        predicted=predicted,
-        actual=actual,
-        action=action if flipped else "none",
-        flipped_positions=flipped,
-        weight_before=weight_before,
-        weight_after=weight_after,
+    if label_from_probability(p1) != actual:
+        mask = weight ^ value ^ (0 if actual else 0xFFFF)
+        drawn = draw(st.sets(st.integers(0, 15)))
+        flipped = tuple(sorted(p for p in drawn if mask >> p & 1))
+    epoch = draw(st.integers(1, 1000))
+    return TrainStep(epoch, value, p1, actual, flipped, weight)
+
+
+def test_train_step_stores_six_fields_and_derives_three():
+    names = [f.name for f in dataclasses.fields(TrainStep)]
+    assert names == [
+        "epoch", "example_value", "p1", "actual", "flipped_positions", "weight_before",
+    ]
+    hit = TrainStep(1, 3, 0.75, 1, (), 5)
+    assert (hit.predicted, hit.action, hit.weight_after) == (1, "none", 5)
+    pull = TrainStep(1, 3, 0.25, 1, (1, 2), 5)
+    assert (pull.predicted, pull.action, pull.weight_after) == (
+        0, "flip_non_matching", 3,
     )
+    push = TrainStep(1, 3, 0.75, 0, (0, 3), 5)
+    assert (push.predicted, push.action, push.weight_after) == (1, "flip_matching", 12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -453,12 +457,11 @@ def reference_train(dataset, optimal_weight, config):
                     weight, flipped = flip_bits(
                         weight, candidates, config.learning_rate, rng
                     )
-            trace.append(
-                TrainStep(
-                    epoch, value, p1, predicted, label, action, flipped,
-                    before, weight,
-                )
+            step = TrainStep(epoch, value, p1, label, flipped, before)
+            assert (step.predicted, step.action, step.weight_after) == (
+                predicted, action, weight,
             )
+            trace.append(step)
             if weight != before:
                 updates += 1
                 if weight in targets:
