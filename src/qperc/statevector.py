@@ -10,7 +10,7 @@ arithmetic `run_circuit` gives a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
 no arrays. H, MCZ and MCX each walk the state once, in tiles of 2^14
-amplitudes (256 KB). MCZ is diagonal: it negates the states where all its
+amplitudes. MCZ is diagonal: it negates the states where all its
 qubits are 1, in place, and neither reads nor writes a tile that holds
 none of them. An X costs no pass until the end of the call: it is kept as
 a pending bit flip that the next H, MCZ or MCX on its qubit reads
@@ -18,11 +18,13 @@ through, with the same bytes as X then that gate. At the end, one pass
 covers every pending qubit inside a tile, and one pass covers each
 pending qubit above a tile. A pass's scratch memory is bounded by the
 tile, whatever the register size: one tile for X, MCX and MCZ, two for H,
-against 256 MB of state at the cap. MCZ's is only the buffers numpy runs
-a hit through when it does not flatten to one stride.
+against 128 MB of real state at the cap. MCZ's is only the buffers numpy
+runs a hit through when it does not flatten to one stride.
 
-Registers are capped at 24 qubits; a dense complex128 vector at that size
-is 256 MB, which is as far as this simulator is meant to go.
+The gate set is real, so a state that starts real stays real: real
+amplitudes are held as float64 and complex ones as complex128, and the
+kernels run unchanged on either. Registers are capped at 24 qubits, 128 MB
+of float64 (256 MB of complex128), which is as far as this simulator goes.
 
 Sampled readout (`sample_rates`, and `sample_qubit` on top of it) is
 counter-based: each row's key words are folded into one uint64 with the
@@ -49,8 +51,8 @@ MAX_SHOTS = 1 << 32
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Amplitudes per tile in _apply_inplace, a power of two: 2^14 complex128
-# amplitudes are 256 KB, which stays in L2 while a gate works on them.
+# Amplitudes per tile in _apply_inplace, a power of two: 128 KB of float64
+# or 256 KB of complex128, which stays in L2 while a gate works on them.
 _TILE = 1 << 14
 
 # SplitMix64's increment and finaliser multipliers (Steele, Lea and Flood,
@@ -152,13 +154,15 @@ class Circuit:
 
 @dataclass
 class StateVector:
-    """2^num_qubits complex amplitudes, MSB-first basis ordering."""
+    """2^num_qubits amplitudes, MSB-first basis ordering: float64 when the
+    given ones are real (int, bool or float), complex128 when complex."""
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.asarray(self.amplitudes)
+        self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
         expected = 1 << self.num_qubits
         if self.amplitudes.shape != (expected,):
             raise ValueError(
@@ -167,15 +171,20 @@ class StateVector:
             )
 
     def norm_squared(self) -> float:
-        return float(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2))
+        return float(np.sum(_squares(self.amplitudes)))
 
 
 def new_zero_state(num_qubits: int) -> StateVector:
     """The |00...0> state on `num_qubits` qubits (1 to 24 inclusive)."""
     check_int("num_qubits", num_qubits, 1, MAX_QUBITS)
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << num_qubits)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
+
+
+def _squares(amps: np.ndarray) -> np.ndarray:
+    """|a|^2 per amplitude; a real array is squared without reading .imag."""
+    return amps.real**2 + amps.imag**2 if amps.dtype.kind == "c" else amps**2
 
 
 def _check_op(op: GateOp, num_qubits: int) -> None:
@@ -358,7 +367,7 @@ def prob_qubit_one(state: StateVector, qubit: int) -> float:
     """Probability that measuring `qubit` yields 1."""
     check_int("qubit", qubit, 0, state.num_qubits - 1)
     ones = state.amplitudes.reshape(1 << qubit, 2, -1)[:, 1, :]
-    return float(np.sum(ones.real**2 + ones.imag**2))
+    return float(np.sum(_squares(ones)))
 
 
 def sample_qubit(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import binom, chisquare
 
 from qperc import statevector
 from qperc.statevector import (
@@ -27,15 +27,26 @@ from qperc.statevector import _apply_inplace, _binomial_cdf, _mix64, _uniforms
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# One tile of complex128 amplitudes, and room for the Python objects a
-# gate makes.
-TILE_BYTES = statevector._TILE * 16
+# Room for the Python objects a gate makes, beside its tiles of scratch.
 SLACK_BYTES = 2**14
 
 
-def random_state(num_qubits, seed):
+# A real state is held as float64, a complex one as complex128.
+EITHER_DTYPE = pytest.mark.parametrize(
+    "dtype", [np.float64, np.complex128], ids=["float64", "complex128"]
+)
+
+
+def tile_bytes(amps):
+    """One tile of amplitudes of `amps`'s dtype."""
+    return statevector._TILE * amps.itemsize
+
+
+def random_state(num_qubits, seed, dtype=np.complex128):
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    amps = rng.normal(size=1 << num_qubits)
+    if dtype == np.complex128:
+        amps = amps + 1j * rng.normal(size=1 << num_qubits)
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
     return StateVector(num_qubits, amps)
 
@@ -57,7 +68,38 @@ def test_zero_state():
     state = new_zero_state(2)
     np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
     assert state.num_qubits == 2
-    assert state.amplitudes.dtype == np.complex128
+    assert state.amplitudes.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "amps, dtype",
+    [
+        ([1, 0], np.float64),
+        ([True, False], np.float64),
+        ([1.0, 0.0], np.float64),
+        (np.array([1, 0], dtype=np.int8), np.float64),
+        (np.array([True, False]), np.float64),
+        (np.array([1, 0], dtype=np.float32), np.float64),
+        (np.array([1, 0], dtype=np.complex64), np.complex128),
+        (np.array([1, 0], dtype=np.complex128), np.complex128),
+        ([1 + 0j, 0], np.complex128),
+    ],
+    ids=repr,
+)
+def test_statevector_holds_real_amplitudes_as_float64(amps, dtype):
+    # np.result_type(amps, np.float64): real input becomes float64, complex
+    # input complex128
+    state = StateVector(1, amps)
+    assert state.amplitudes.dtype == dtype
+    assert state.amplitudes.tolist() == [1, 0]
+
+
+@EITHER_DTYPE
+def test_gates_keep_the_state_dtype(dtype):
+    state = StateVector(2, np.array([1, 0, 0, 0], dtype=dtype))
+    circuit = Circuit(2, [h(0), x(1), mcz([0, 1]), mcx([0], 1), h(1)])
+    assert apply_gate(state, h(0)).amplitudes.dtype == dtype
+    assert run_circuit(circuit, state).amplitudes.dtype == dtype
 
 
 @pytest.mark.parametrize("bad", [0, -1, 25])
@@ -373,6 +415,40 @@ def test_sample_rates_row_depends_only_on_its_key_and_p(rows, shots, random):
             assert whole[r] == p
 
 
+# Each setting draws from 65,536 keys [setting, row] fixed here. Its counts
+# must fit Binomial(shots, P) with a chi-square p-value of at least 0.001,
+# and their sample variance must be within 3% of shots * P * (1 - P),
+# about 5.5 of its standard errors.
+BINOMIAL_KEYS = 65_536
+
+
+@pytest.mark.parametrize(
+    "setting, shots, p",
+    [(1, 16, 0.25), (2, 64, 0.140625), (3, 8192, 0.25), (4, 8192, 0.015625)],
+)
+def test_sample_rates_counts_are_binomial(setting, shots, p):
+    rows = np.arange(BINOMIAL_KEYS, dtype=np.uint64)
+    rates = sample_rates(np.full(BINOMIAL_KEYS, p), shots, [setting, rows])
+    counts = np.rint(rates * shots).astype(np.int64)
+    assert np.array_equal(counts / shots, rates)
+    ratio = np.var(counts, ddof=1) / (shots * p * (1 - p))
+    assert 0.97 <= ratio <= 1.03
+    expected = BINOMIAL_KEYS * binom.pmf(np.arange(shots + 1), shots, p)
+    # Pool adjacent counts, from 0 up, until each bin expects at least 5
+    # draws; what is left over joins the last bin.
+    starts, pooled = [0], 0.0
+    for k, e in enumerate(expected):
+        pooled += e
+        if pooled >= 5.0:
+            starts.append(k + 1)
+            pooled = 0.0
+    starts = starts[:-1]
+    observed = np.add.reduceat(np.bincount(counts, minlength=shots + 1), starts)
+    expected = np.add.reduceat(expected, starts)
+    expected *= BINOMIAL_KEYS / expected.sum()
+    assert chisquare(observed, expected).pvalue >= 1e-3
+
+
 def test_kernels_need_at_most_one_state_sized_temporary():
     # 64 distinct MCZ and 64 distinct MCX gates: a kernel that kept an
     # index or sign array per gate would grow far past the bound.
@@ -398,7 +474,9 @@ def test_kernels_need_at_most_one_state_sized_temporary():
     finally:
         tracemalloc.stop()
     # The returned copy of the state plus the scratch of one gate.
-    assert peak <= state.amplitudes.nbytes + 2 * TILE_BYTES + SLACK_BYTES
+    assert state.amplitudes.dtype == np.float64
+    bound = state.amplitudes.nbytes + 2 * tile_bytes(state.amplitudes) + SLACK_BYTES
+    assert peak <= bound
 
 
 @pytest.mark.parametrize(
@@ -415,10 +493,12 @@ def test_kernels_need_at_most_one_state_sized_temporary():
     ],
     ids=repr,
 )
-def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op):
+@EITHER_DTYPE
+def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op, dtype):
     n = 18
     ops = op if isinstance(op, tuple) else (op,)
-    amps = random_state(n, seed=2).amplitudes
+    amps = random_state(n, seed=2, dtype=dtype).amplitudes
+    assert amps.dtype == dtype
     # H's in-place add: when a tile holds several (zero, one) pairs of
     # stride above 4, numpy cannot rule out overlap between the halves and
     # copies through three half-tile buffers beside the half-tile
@@ -428,7 +508,7 @@ def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op):
     tiles = {"H": 2, "MCZ": 0}.get(ops[0].kind, 1)
     if op == mcz([1, 9, 16]):
         tiles = 1
-    bound = tiles * TILE_BYTES + SLACK_BYTES
+    bound = tiles * tile_bytes(amps) + SLACK_BYTES
     assert bound < amps.nbytes / 4
     tracemalloc.start()
     try:
@@ -530,6 +610,43 @@ def test_kernels_match_reference_bytes_across_tiles_property(monkeypatch, data):
     # offset.
     monkeypatch.setattr(statevector, "_TILE", 16)
     _assert_matches_reference(*_draw_case(data))
+
+
+def _assert_real_matches_complex(n, rows, ops, seed):
+    # The gate set is real: a real block run as float64 equals the real
+    # part of the same block run as complex128, whose imaginary parts stay
+    # zero, and the readouts square to the same bytes.
+    rng = np.random.default_rng(seed)
+    real = rng.choice([0.0, -0.0, 0.5, -0.5, 0.3], size=(rows, 1 << n))
+    block = real.astype(np.complex128)
+    _apply_inplace(real, n, ops)
+    _apply_inplace(block, n, ops)
+    assert real.dtype == np.float64
+    assert np.array_equal(real, block.real)
+    assert not block.imag.any()
+    for real_row, complex_row in zip(real, block):
+        held, run = StateVector(n, real_row), StateVector(n, complex_row)
+        assert held.amplitudes.dtype == np.float64
+        assert held.norm_squared().hex() == run.norm_squared().hex()
+        for q in range(n):
+            assert prob_qubit_one(held, q).hex() == prob_qubit_one(run, q).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_real_state_matches_complex_state_property(data):
+    _assert_real_matches_complex(*_draw_case(data))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_real_state_matches_complex_state_across_tiles_property(monkeypatch, data):
+    monkeypatch.setattr(statevector, "_TILE", 16)
+    _assert_real_matches_complex(*_draw_case(data))
 
 
 @pytest.mark.parametrize("tile", [statevector._TILE, 16])
