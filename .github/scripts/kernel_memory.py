@@ -3,18 +3,21 @@
     python .github/scripts/kernel_memory.py
 
 One gate of each kind on the 128 MB float64 state `new_zero_state` gives,
-then on a 256 MB complex128 state: its scratch stays within one tile of
-the state's dtype (MCX copies one tile; two for H, whose in-place add
-numpy copies through, and none for MCZ, which negates its hit states in
-place), as tests/test_statevector.py checks at 18 qubits. An X costs no
-pass until the end of the call; then one pass, which copies one tile,
-covers every pending qubit inside a tile, and one covers each pending
-qubit above a tile. X runs alone at both ends of the register, at
-strides 2^23 and 1, and as five X's left pending, two above a tile and
-three inside one, all within one tile. Then a gate list, within two
-tiles. How numpy buffers an in-place ufunc on a strided view depends on
-its version, so this runs on every numpy the workflow tests. Exits
-non-zero naming the first dtype and gate list over its bound.
+then on a 256 MB complex128 state: per walker, its scratch stays within
+one tile of the state's dtype (MCX copies one tile; two for H, whose
+in-place add numpy copies through, and none for MCZ, which negates its
+hit states in place), and a pass has `statevector._WALKERS` walkers, the
+calling thread and a helper thread, each on half of its tiles, as
+tests/test_statevector.py checks on states of several tiles. An X costs
+no pass until the end of the call; then one pass, which copies one tile
+per walker, covers every pending qubit inside a tile, and one covers each
+pending qubit above a tile. X runs alone at both ends of the register,
+at strides 2^23 and 1, and as five X's left pending, two above a tile and
+three inside one, all within one tile per walker. Then a gate list,
+within two tiles per walker. How numpy buffers an in-place ufunc on a
+strided view depends on its version, so this runs on every numpy the
+workflow tests. Exits non-zero naming the first dtype and gate list over
+its bound.
 """
 
 import sys
@@ -41,7 +44,7 @@ def check(amps):
         tracemalloc.stop()
         kinds = {op.kind for op in ops}
         tiles = 2 if "H" in kinds else 0 if kinds == {"MCZ"} else 1
-        bound = tiles * tile + 2**14
+        bound = sv._WALKERS * (tiles * tile + 2**14)
         name = f"{amps.dtype} {ops}"
         print(f"{name}: peak {peak} bytes, bound {bound}, state {amps.nbytes}")
         if peak > bound:

@@ -9,17 +9,23 @@ the last axis, so on a block of states, one per row, each row gets the
 arithmetic `run_circuit` gives a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
-no arrays. H, MCZ and MCX each walk the state once, in tiles of 2^14
+no arrays. H, MCZ and MCX each walk the state once, in tiles of 2^16
 amplitudes. MCZ is diagonal: it negates the states where all its
 qubits are 1, in place, and neither reads nor writes a tile that holds
 none of them. An X costs no pass until the end of the call: it is kept as
 a pending bit flip that the next H, MCZ or MCX on its qubit reads
 through, with the same bytes as X then that gate. At the end, one pass
 covers every pending qubit inside a tile, and one pass covers each
-pending qubit above a tile. A pass's scratch memory is bounded by the
-tile, whatever the register size: one tile for X, MCX and MCZ, two for H,
-against 128 MB of real state at the cap. MCZ's is only the buffers numpy
-runs a hit through when it does not flatten to one stride.
+pending qubit above a tile. A pass of two or more tiles splits them
+between two walkers, the calling thread and one helper thread, which is
+made the first time such a pass runs (a state of 17 or more qubits) and
+dropped in a child made by fork; tiles are disjoint and each gets the
+same arithmetic, so the bytes do not depend on the split. A pass's
+scratch memory is bounded by the tile, whatever the register size: per
+walker, one tile for X and MCX, two for H and none for MCZ, so at most
+about 2 MB of float64 (4 MB of complex128) against 128 MB of real state
+at the cap. MCZ's is only the buffers numpy runs a hit through when it
+does not flatten to one stride.
 
 The gate set is real, so a state that starts real stays real: real
 amplitudes are held as float64 and complex ones as complex128, and the
@@ -37,8 +43,11 @@ has O(sqrt(shots)) entries; shots are capped at MAX_SHOTS, where the widest
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -51,9 +60,39 @@ MAX_SHOTS = 1 << 32
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Amplitudes per tile in _apply_inplace, a power of two: 128 KB of float64
-# or 256 KB of complex128, which stays in L2 while a gate works on them.
-_TILE = 1 << 14
+# Amplitudes per tile in _apply_inplace, a power of two: 512 KB of float64
+# or 1 MB of complex128, which stays in a 2 MB L2 while a gate works on them.
+_TILE = 1 << 16
+
+# Threads that walk one pass's tiles: the caller, and one helper when the
+# machine has a second CPU. The helper is made on first use (_helper).
+_WALKERS = min(2, os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_helper() -> None:
+    """Forget the helper thread and its lock; a child made by fork has
+    neither the thread nor, if another thread held it, the lock's owner."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _helper():
+    """The one-thread executor that walks the second half of a pass's tiles,
+    shared by every thread that runs gates."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="qperc-tiles")
+        return _pool
+
 
 # SplitMix64's increment and finaliser multipliers (Steele, Lea and Flood,
 # "Fast splittable pseudorandom number generators", OOPSLA 2014).
@@ -196,14 +235,16 @@ def _check_op(op: GateOp, num_qubits: int) -> None:
 
 
 class _Gate(NamedTuple):
-    """A pass as _apply_tile applies it, prepared once per kernel call.
+    """A pass as _apply_inplace walks it and _apply_tile applies it,
+    prepared once per kernel call.
 
     width is the target's stride s (the last qubit's for MCZ) when a
     (zero, one) pair fits in a tile, else half a tile; flipped says an X is
     pending on H's target. fixed is the mask of the controls whose bit a
-    tile's offset fixes, and want the bits the offset must hold there: 1,
-    or 0 under a pending X. shape, hit and source index the cube of X, MCZ
-    and MCX, and source reverses the axis of each qubit the pass flips.
+    tile's start (its first amplitude's offset) fixes, and want the bits
+    the start must hold there: 1, or 0 under a pending X. shape, hit and
+    source index the cube of X, MCZ and MCX, and source reverses the axis
+    of each qubit the pass flips.
     """
 
     kind: str
@@ -293,21 +334,50 @@ def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> 
     matching one-half chunk. An X costs no pass until the end of the call
     (see _passes): then one pass covers every pending qubit inside a tile,
     and one pass covers each pending qubit above a tile.
+
+    A pass walks the list of the starts of the tiles it acts on: every
+    tile for H, whose `fixed` is 0, and for X, MCZ and MCX those whose
+    start holds each control it fixes at its wanted bit. With _WALKERS at
+    2 and two or more such tiles, the helper thread walks the second half
+    of the list, under the caller's numpy settings, while the caller walks
+    the first, and the caller waits for it before the next pass starts, so
+    gates keep their order.
     """
     ops = list(ops)
     for op in ops:
         _check_op(op, num_qubits)
     for gate in _passes(ops, num_qubits):
-        s, width = gate.s, gate.width
+        s = gate.s
         view = amps.reshape(-1, 2, s)
         pairs = max(1, _TILE // (2 * s))
-        for p in range(0, len(view), pairs):
-            for c in range(0, s, width):
-                _apply_tile(view[p : p + pairs, :, c : c + width], 2 * s * p + c, gate)
+        starts = [
+            start
+            for p in range(0, len(view), pairs)
+            for start in range(2 * s * p, 2 * s * p + s, gate.width)
+            if start & gate.fixed == gate.want
+        ]
+        if _WALKERS < 2 or len(starts) < 2:
+            _walk(view, starts, pairs, gate)
+            continue
+        half = len(starts) // 2
+        run = contextvars.copy_context().run
+        helper = _helper().submit(run, _walk, view, starts[half:], pairs, gate)
+        try:
+            _walk(view, starts[:half], pairs, gate)
+        finally:
+            helper.result()
 
 
-def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
-    """Apply one pass to one (pairs, 2, width) tile, first amplitude at `offset`.
+def _walk(view: np.ndarray, starts: list[int], pairs: int, gate: _Gate) -> None:
+    """Apply `gate` to the tiles of `view`, shape (-1, 2, s), whose first
+    amplitudes are at `starts`."""
+    for start in starts:
+        p, c = divmod(start, 2 * gate.s)
+        _apply_tile(view[p : p + pairs, :, c : c + gate.width], gate)
+
+
+def _apply_tile(tile: np.ndarray, gate: _Gate) -> None:
+    """Apply one pass to one (pairs, 2, width) tile that holds states it acts on.
 
     H alone works on the tile's zero and one halves: for a stride s of at
     most 4, the 1-D strided views tile[:, 0, j] and tile[:, 1, j], one pair
@@ -320,13 +390,12 @@ def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
     the bytes are those of X then H.
 
     X, MCZ and MCX see a tile as a cube with one size-2 axis per qubit
-    whose bit varies inside it (qubit 0 first, after one leading axis). The
-    tile's offset fixes every other qubit, so a tile where such a control
-    does not hold its wanted bit holds no state the gate acts on and is
-    left alone. MCZ negates its hit states in place, through numpy's two
-    ufunc buffers of at most half a tile each when the hit does not
-    flatten to one stride; X and MCX copy their hit from the reversed
-    source through at most a tile.
+    whose bit varies inside it (qubit 0 first, after one leading axis); the
+    walk has already passed over the tiles where a control the tile's
+    start fixes does not hold its wanted bit. MCZ negates its hit states in
+    place, through numpy's two ufunc buffers of at most 8192 amplitudes
+    each when the hit does not flatten to one stride; X and MCX copy their
+    hit from the reversed source through at most a tile.
     """
     if gate.kind == "H":
         if gate.width <= 4:
@@ -338,7 +407,7 @@ def _apply_tile(tile: np.ndarray, offset: int, gate: _Gate) -> None:
             zero += one
             one[...] = diff
         tile *= _INV_SQRT2
-    elif (offset & gate.fixed) == gate.want:
+    else:
         cube = tile.reshape(gate.shape)
         if gate.kind == "MCZ":
             cube[gate.hit] *= -1.0

@@ -588,6 +588,23 @@ def test_python_m_qperc_runs_the_cli():
     assert result.stdout == "1\n"
 
 
+def test_importing_the_cli_starts_no_thread():
+    # The gate kernels' helper thread, and the concurrent.futures import
+    # that makes it, wait for the first pass of two or more tiles, which no
+    # CLI command's register of at most 5 qubits makes.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, threading, qperc.cli; "
+        "assert 'concurrent.futures' not in sys.modules; "
+        "assert threading.active_count() == 1, threading.enumerate()"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 # Every flag value a library rule rejects: the rule's own message, with the
 # flag put before it. {data} is an n=2 dataset, {out} a path never written.
 _REJECTED_FLAGS = [

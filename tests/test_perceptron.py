@@ -431,6 +431,27 @@ def test_sampled_epochs_draw_fresh_noise_for_the_same_pairs():
     assert (first[~noisy] == second[~noisy]).all()
 
 
+def test_sampled_epochs_draw_uncorrelated_noise_over_the_n4_dataset():
+    # Keys and bound fixed before the first run: the 65,536 n=4 inputs
+    # against weight 626 (the train-n4 dataset), seed 5, 8192 shots,
+    # epochs 1 and 2. Over the 52,664 rows with 0 < P < 1, the Pearson
+    # correlation of the two epochs' z-scores must be below 0.02 in size,
+    # about 4.6 of its standard errors (1 / sqrt(52,664)).
+    shots = 8192
+    config = PerceptronConfig(n=4, mode="sampled", shots=shots, seed=5)
+    inputs = np.arange(1 << 16)
+    p = ((16 - 2.0 * np.bitwise_count(inputs ^ 626)) / 16) ** 2
+    noisy = (p > 0.0) & (p < 1.0)
+    assert noisy.sum() == 52_664
+    p = p[noisy]
+    z1, z2 = (
+        (measure_many(inputs, 626, config, epoch)[noisy] * shots - shots * p)
+        / np.sqrt(shots * p * (1 - p))
+        for epoch in (1, 2)
+    )
+    assert abs(np.corrcoef(z1, z2)[0, 1]) < 0.02
+
+
 def test_check_value_refuses_fractions_and_nested_columns():
     cases = (
         (1.5, "1.5"), ([1, 2.5], "2.5"), (np.array([3.0, 0.25]), "0.25"),

@@ -1,4 +1,10 @@
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,9 +43,11 @@ EITHER_DTYPE = pytest.mark.parametrize(
 )
 
 
-def tile_bytes(amps):
-    """One tile of amplitudes of `amps`'s dtype."""
-    return statevector._TILE * amps.itemsize
+def walkers_scratch(tiles, amps):
+    """The scratch bound of a pass: per walker, `tiles` tiles of amplitudes
+    of `amps`'s dtype and SLACK_BYTES, for each of statevector._WALKERS."""
+    tile = statevector._TILE * amps.itemsize
+    return statevector._WALKERS * (tiles * tile + SLACK_BYTES)
 
 
 def random_state(num_qubits, seed, dtype=np.complex128):
@@ -451,8 +459,9 @@ def test_sample_rates_counts_are_binomial(setting, shots, p):
 
 def test_kernels_need_at_most_one_state_sized_temporary():
     # 64 distinct MCZ and 64 distinct MCX gates: a kernel that kept an
-    # index or sign array per gate would grow far past the bound.
-    n = 16
+    # index or sign array per gate would grow far past the bound. At 18
+    # qubits the state is four tiles, so the passes are walked in halves.
+    n = 18
     rng = np.random.default_rng(0)
     mczs, mcxs = set(), set()
 
@@ -475,27 +484,28 @@ def test_kernels_need_at_most_one_state_sized_temporary():
         tracemalloc.stop()
     # The returned copy of the state plus the scratch of one gate.
     assert state.amplitudes.dtype == np.float64
-    bound = state.amplitudes.nbytes + 2 * tile_bytes(state.amplitudes) + SLACK_BYTES
+    assert len(state.amplitudes) > statevector._TILE
+    bound = state.amplitudes.nbytes + walkers_scratch(2, state.amplitudes)
     assert peak <= bound
 
 
 @pytest.mark.parametrize(
     "op",
     [
-        h(0), h(17), h(16), h(8), x(0), x(17), x(16), x(8),
+        h(0), h(20), h(19), h(11), x(0), x(20), x(19), x(11),
         # one qubit, and one control, at either end: the whole tile or
         # every other amplitude of it is hit
-        mcz([0]), mcz([17]), mcx([0], 17), mcx([17], 0),
-        mcz([1, 9, 16]), mcx([3, 12], 6),
+        mcz([0]), mcz([20]), mcx([0], 20), mcx([20], 0),
+        mcz([1, 12, 19]), mcx([3, 15], 9),
         # X's pending at the end: one pass for each of 0 and 3, above a
-        # tile, and one for 17, 13 and 9 together, inside one
-        (x(0), x(3), x(17), x(13), x(9)),
+        # tile, and one for 20, 16 and 12 together, inside one
+        (x(0), x(3), x(20), x(16), x(12)),
     ],
     ids=repr,
 )
 @EITHER_DTYPE
 def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op, dtype):
-    n = 18
+    n = 21
     ops = op if isinstance(op, tuple) else (op,)
     amps = random_state(n, seed=2, dtype=dtype).amplitudes
     assert amps.dtype == dtype
@@ -503,12 +513,12 @@ def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op, dtype):
     # stride above 4, numpy cannot rule out overlap between the halves and
     # copies through three half-tile buffers beside the half-tile
     # difference. MCZ negates its hit states in place, but numpy multiplies
-    # a hit that does not flatten to one stride, as mcz([1, 9, 16])'s,
-    # through two ufunc buffers of up to 8192 amplitudes: a tile in all.
+    # a hit that does not flatten to one stride, as mcz([1, 12, 19])'s,
+    # through two ufunc buffers of up to 8192 amplitudes: within a tile.
     tiles = {"H": 2, "MCZ": 0}.get(ops[0].kind, 1)
-    if op == mcz([1, 9, 16]):
+    if op == mcz([1, 12, 19]):
         tiles = 1
-    bound = tiles * tile_bytes(amps) + SLACK_BYTES
+    bound = walkers_scratch(tiles, amps)
     assert bound < amps.nbytes / 4
     tracemalloc.start()
     try:
@@ -687,3 +697,101 @@ def test_kernels_match_reference_bytes_at_20_qubits():
         x(3), x(4), x(9), x(13), x(19),
     ]
     _assert_matches_reference(20, 1, ops, seed=20)
+
+
+@pytest.mark.parametrize("tile", [statevector._TILE, 16])
+def test_one_walker_gives_the_bytes_of_two(monkeypatch, tile):
+    # Tiles are disjoint and each gets the same arithmetic, so how a
+    # pass's tiles are split between walkers cannot change a byte.
+    n = 18
+    rng = np.random.default_rng(18)
+    circuit = Circuit(n, [random_gate(n, rng) for _ in range(40 if tile > 16 else 12)])
+    state = random_state(n, seed=18, dtype=np.float64)
+    monkeypatch.setattr(statevector, "_TILE", tile)
+    monkeypatch.setattr(statevector, "_WALKERS", 2)
+    two = run_circuit(circuit, state).amplitudes
+    monkeypatch.setattr(statevector, "_WALKERS", 1)
+    one = run_circuit(circuit, state).amplitudes
+    assert one.tobytes() == two.tobytes()
+
+
+def test_the_helper_walks_under_the_callers_numpy_error_settings(monkeypatch):
+    # H's sum overflows in all four tiles of h(0) at 18 qubits, two of
+    # which the helper walks: the caller's errstate holds for them too.
+    monkeypatch.setattr(statevector, "_WALKERS", 2)
+    n = 18
+    amps = np.full(1 << n, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            _apply_inplace(amps, n, [h(0)])
+    assert np.isinf(amps[: 1 << (n - 1)]).all()
+    amps = np.full(1 << n, 1e308)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _apply_inplace(amps, n, [h(0)])
+
+
+def test_threads_running_circuits_at_once_share_one_helper(monkeypatch):
+    # Four callers on two CPUs, switching every microsecond: each gets the
+    # bytes it gets alone, and all of them share one helper executor.
+    monkeypatch.setattr(statevector, "_WALKERS", 2)
+    n = 17
+    rng = np.random.default_rng(17)
+    circuits = [Circuit(n, [random_gate(n, rng) for _ in range(24)]) for _ in range(4)]
+    state = random_state(n, seed=17, dtype=np.float64)
+    alone = [run_circuit(c, state).amplitudes.tobytes() for c in circuits]
+    monkeypatch.setattr(statevector, "_pool", None)
+    pools, results = [], [None] * len(circuits)
+
+    def run(k):
+        pools.append(statevector._helper())
+        results[k] = run_circuit(circuits[k], state).amplitudes.tobytes()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(circuits))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+        if statevector._pool is not None:
+            statevector._pool.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == alone
+    assert len({id(pool) for pool in pools}) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+# Python 3.12 warns on a fork while a second thread exists, as here on purpose.
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+def test_a_child_made_by_fork_walks_tiles_without_the_parents_helper(monkeypatch):
+    # The helper thread does not exist in a child made by fork; a child
+    # that kept the parent's executor would wait on it for ever.
+    monkeypatch.setattr(statevector, "_WALKERS", 2)
+    n = 18
+    ops = [h(q) for q in range(n)] + [mcx([0, 5], 17), x(3), mcz([2, 9])]
+    circuit = Circuit(n, ops)
+    expected = run_circuit(circuit, new_zero_state(n)).amplitudes.tobytes()
+    assert statevector._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = run_circuit(circuit, new_zero_state(n)).amplitudes.tobytes()
+            code = 0 if got == expected else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 10.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its circuit in 10 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0

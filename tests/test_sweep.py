@@ -277,3 +277,22 @@ def test_format_memo_equals_format_on_every_float(values):
 def test_format_memo_keeps_signed_zeros_apart():
     texts, index = format_12g(np.array([[0.0, -0.0], [-0.0, 0.0]]))
     assert [[texts[j] for j in row] for row in index.tolist()] == [["0", "-0"], ["-0", "0"]]
+
+
+def test_sampled_n3_sweep_z_scores_have_unit_sd():
+    # Keys and band fixed before the first run: seed 5, 8192 shots, every
+    # n=3 pair. Over the 47,104 cells with 0 < P < 1, z = (count - shots P)
+    # / sqrt(shots P (1 - P)) must have an sd in [0.98, 1.02], about 6 of
+    # its standard errors (1 / sqrt(2 * 47,104)) either side of 1, and a
+    # mean within 0.03 of 0, about 6.5 of its standard errors.
+    shots = 8192
+    sweep = compute_sweep(PerceptronConfig(n=3, mode="sampled", shots=shots, seed=5))
+    values = np.arange(256)
+    p = ((8 - 2.0 * np.bitwise_count(values[:, None] ^ values)) / 8) ** 2
+    noisy = (p > 0.0) & (p < 1.0)
+    assert noisy.sum() == 47_104
+    p = p[noisy]
+    counts = np.rint(sweep.probs[noisy] * shots)
+    z = (counts - shots * p) / np.sqrt(shots * p * (1 - p))
+    assert abs(z.mean()) <= 0.03
+    assert 0.98 <= z.std(ddof=1) <= 1.02
