@@ -17,10 +17,11 @@ a pending bit flip that the next H, MCZ or MCX on its qubit reads
 through, with the same bytes as X then that gate. At the end, one pass
 covers every pending qubit inside a tile, and one pass covers each
 pending qubit above a tile. A pass of two or more tiles splits them
-between two walkers, the calling thread and one helper thread, which is
-made the first time such a pass runs (a state of 17 or more qubits) and
-dropped in a child made by fork; tiles are disjoint and each gets the
-same arithmetic, so the bytes do not depend on the split. A pass's
+between two walkers, the calling thread and one daemon helper thread,
+which is made the first time such a pass runs (a state of 17 or more
+qubits), serves one caller at a time and is dropped in a child made by
+fork; tiles are disjoint and each gets the same arithmetic, so the bytes
+do not depend on the split. A pass's
 scratch memory is bounded by the tile, whatever the register size: per
 walker, one tile for X and MCX, two for H and none for MCZ, so at most
 about 2 MB of float64 (4 MB of complex128) against 128 MB of real state
@@ -49,7 +50,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -64,34 +65,13 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # or 1 MB of complex128, which stays in a 2 MB L2 while a gate works on them.
 _TILE = 1 << 16
 
-# Threads that walk one pass's tiles: the caller, and one helper when the
-# machine has a second CPU. The helper is made on first use (_helper).
-_WALKERS = min(2, os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _drop_helper() -> None:
-    """Forget the helper thread and its lock; a child made by fork has
-    neither the thread nor, if another thread held it, the lock's owner."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helper)
-
-
-def _helper():
-    """The one-thread executor that walks the second half of a pass's tiles,
-    shared by every thread that runs gates."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="qperc-tiles")
-        return _pool
+# Threads that walk one pass's tiles: the caller, and one helper when this
+# process may run on a second CPU. The helper is made on first use.
+_WALKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_helper = None
+_helper_lock = threading.Lock()
 
 
 # SplitMix64's increment and finaliser multipliers (Steele, Lea and Flood,
@@ -323,6 +303,82 @@ def _passes(ops: list[GateOp], n: int) -> Iterable[_Gate]:
         yield _prepare(x(n - inner.bit_length()), n, inner)
 
 
+class _Helper:
+    """A daemon thread that walks the second half of a pass's tiles.
+
+    One caller at a time holds `busy`. It puts the walk in `job`, with a
+    list for the walk's exception and a `done` lock of the pass's own, and
+    releases `todo`; the thread runs the walk, then releases `busy`, so
+    the caller finds it free on its next pass, and `done`. Being a daemon
+    that waits only on these locks, the thread outlives no process and
+    needs nothing from interpreter shutdown.
+    """
+
+    def __init__(self):
+        self.busy = threading.Lock()
+        self.todo = threading.Lock()
+        self.todo.acquire()
+        self.job = None
+        threading.Thread(target=self._serve, name="qperc-tiles", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self.todo.acquire()
+            walk, errors, done = self.job
+            self.job = None
+            try:
+                walk()
+            except BaseException as error:
+                errors.append(error)
+            # Hold no view of the walked state between passes.
+            walk = errors = None
+            self.busy.release()
+            done.release()
+
+    def share(self, view: np.ndarray, tiles: Sequence[int], pairs: int, gate: _Gate) -> None:
+        """Walk the second half of `tiles` on the helper, under the caller's
+        contextvars context, and the first on the caller, who holds `busy`;
+        return once both halves are done."""
+        half = len(tiles) // 2
+        errors, done = [], threading.Lock()
+        done.acquire()
+        run = contextvars.copy_context().run
+        self.job = (partial(run, _walk, view, tiles[half:], pairs, gate), errors, done)
+        self.todo.release()
+        try:
+            _walk(view, tiles[:half], pairs, gate)
+        finally:
+            done.acquire()
+        if errors:
+            raise errors[0]
+
+
+def _drop_helper() -> None:
+    """Forget the helper and its lock: a child made by fork has neither the
+    thread nor, if another thread held the lock, the lock's owner."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _free_helper() -> _Helper | None:
+    """The helper, made on first use, with its `busy` lock taken for one
+    pass; None while another caller holds it, or when no thread can start
+    (as once the interpreter is finalising)."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            try:
+                _helper = _Helper()
+            except RuntimeError:
+                return None
+        helper = _helper
+    return helper if helper.busy.acquire(blocking=False) else None
+
+
 def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> None:
     """Apply gates in order along the last axis of a C-contiguous state or block.
 
@@ -335,44 +391,48 @@ def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> 
     (see _passes): then one pass covers every pending qubit inside a tile,
     and one pass covers each pending qubit above a tile.
 
-    A pass walks the list of the starts of the tiles it acts on: every
-    tile for H, whose `fixed` is 0, and for X, MCZ and MCX those whose
-    start holds each control it fixes at its wanted bit. With _WALKERS at
-    2 and two or more such tiles, the helper thread walks the second half
-    of the list, under the caller's numpy settings, while the caller walks
-    the first, and the caller waits for it before the next pass starts, so
-    gates keep their order.
+    A pass numbers the tiles it could touch (see _corner) and walks those
+    it acts on: every tile for H, whose `fixed` is 0, as a range, and for
+    X, MCZ and MCX a list of those whose start holds each control it fixes
+    at its wanted bit. With _WALKERS at 2, two or more such tiles and the
+    helper free, the helper thread walks the second half, under the
+    caller's numpy settings, while the caller walks the first; the caller
+    waits for it before the next pass starts, so gates keep their order.
+    Another caller that finds the helper busy walks its pass alone.
     """
     ops = list(ops)
     for op in ops:
         _check_op(op, num_qubits)
     for gate in _passes(ops, num_qubits):
-        s = gate.s
-        view = amps.reshape(-1, 2, s)
-        pairs = max(1, _TILE // (2 * s))
-        starts = [
-            start
-            for p in range(0, len(view), pairs)
-            for start in range(2 * s * p, 2 * s * p + s, gate.width)
-            if start & gate.fixed == gate.want
-        ]
-        if _WALKERS < 2 or len(starts) < 2:
-            _walk(view, starts, pairs, gate)
-            continue
-        half = len(starts) // 2
-        run = contextvars.copy_context().run
-        helper = _helper().submit(run, _walk, view, starts[half:], pairs, gate)
-        try:
-            _walk(view, starts[:half], pairs, gate)
-        finally:
-            helper.result()
+        view = amps.reshape(-1, 2, gate.s)
+        pairs = max(1, _TILE // (2 * gate.s))
+        tiles = range(-(-len(view) // pairs) * (gate.s // gate.width))
+        if gate.fixed:
+            tiles = [k for k in tiles if _start(k, pairs, gate) & gate.fixed == gate.want]
+        helper = _free_helper() if _WALKERS > 1 and len(tiles) > 1 else None
+        if helper is None:
+            _walk(view, tiles, pairs, gate)
+        else:
+            helper.share(view, tiles, pairs, gate)
 
 
-def _walk(view: np.ndarray, starts: list[int], pairs: int, gate: _Gate) -> None:
-    """Apply `gate` to the tiles of `view`, shape (-1, 2, s), whose first
-    amplitudes are at `starts`."""
-    for start in starts:
-        p, c = divmod(start, 2 * gate.s)
+def _corner(k: int, pairs: int, gate: _Gate) -> tuple[int, int]:
+    """Tile k's first pair and first column in the (-1, 2, s) view: tiles
+    are numbered across a pair's chunks, then over blocks of `pairs` pairs."""
+    block, chunk = divmod(k, gate.s // gate.width)
+    return block * pairs, chunk * gate.width
+
+
+def _start(k: int, pairs: int, gate: _Gate) -> int:
+    """The offset of tile k's first amplitude."""
+    p, c = _corner(k, pairs, gate)
+    return 2 * gate.s * p + c
+
+
+def _walk(view: np.ndarray, tiles: Sequence[int], pairs: int, gate: _Gate) -> None:
+    """Apply `gate` to the listed tiles of `view`, shape (-1, 2, s)."""
+    for k in tiles:
+        p, c = _corner(k, pairs, gate)
         _apply_tile(view[p : p + pairs, :, c : c + gate.width], gate)
 
 

@@ -589,9 +589,10 @@ def test_python_m_qperc_runs_the_cli():
 
 
 def test_importing_the_cli_starts_no_thread():
-    # The gate kernels' helper thread, and the concurrent.futures import
-    # that makes it, wait for the first pass of two or more tiles, which no
-    # CLI command's register of at most 5 qubits makes.
+    # The gate kernels' helper thread waits for the first pass of two or
+    # more tiles, which no CLI command's register of at most 5 qubits
+    # makes, and is a plain threading.Thread: concurrent.futures, with the
+    # logging it imports, stays out of every CLI process.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (

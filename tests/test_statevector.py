@@ -1,10 +1,14 @@
+import hashlib
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,9 +463,11 @@ def test_sample_rates_counts_are_binomial(setting, shots, p):
 
 def test_kernels_need_at_most_one_state_sized_temporary():
     # 64 distinct MCZ and 64 distinct MCX gates: a kernel that kept an
-    # index or sign array per gate would grow far past the bound. At 18
-    # qubits the state is four tiles, so the passes are walked in halves.
-    n = 18
+    # index or sign array per gate would grow far past the bound. At 21
+    # qubits the state is 32 tiles, so the passes are walked in halves, and
+    # the walkers' scratch is under a quarter of the state, so a second
+    # state-sized temporary cannot pass.
+    n = 21
     rng = np.random.default_rng(0)
     mczs, mcxs = set(), set()
 
@@ -485,6 +491,7 @@ def test_kernels_need_at_most_one_state_sized_temporary():
     # The returned copy of the state plus the scratch of one gate.
     assert state.amplitudes.dtype == np.float64
     assert len(state.amplitudes) > statevector._TILE
+    assert walkers_scratch(2, state.amplitudes) < state.amplitudes.nbytes / 4
     bound = state.amplitudes.nbytes + walkers_scratch(2, state.amplitudes)
     assert peak <= bound
 
@@ -731,20 +738,37 @@ def test_the_helper_walks_under_the_callers_numpy_error_settings(monkeypatch):
         _apply_inplace(amps, n, [h(0)])
 
 
-def test_threads_running_circuits_at_once_share_one_helper(monkeypatch):
-    # Four callers on two CPUs, switching every microsecond: each gets the
-    # bytes it gets alone, and all of them share one helper executor.
+@pytest.mark.parametrize("fails", [False, True])
+def test_the_helper_holds_no_state_after_a_pass(monkeypatch, fails):
+    # Once _apply_inplace returns, or raises from the helper's half, the
+    # state it walked is free: the helper keeps no view of it, nor of an
+    # exception's frames, until the next pass.
+    monkeypatch.setattr(statevector, "_WALKERS", 2)
+    n = 18
+    amps = np.full(1 << n, 1e308 if fails else 1.0)
+    with np.errstate(over="raise" if fails else "ignore"):
+        try:
+            _apply_inplace(amps, n, [h(0)])
+        except FloatingPointError:
+            assert fails
+    assert statevector._helper is not None
+    freed = weakref.ref(amps)
+    del amps
+    assert freed() is None
+
+
+def test_threads_running_circuits_at_once_get_the_bytes_they_get_alone(monkeypatch):
+    # Four callers on two CPUs, switching every microsecond: one at a time
+    # shares a pass with the helper, and the others walk theirs alone.
     monkeypatch.setattr(statevector, "_WALKERS", 2)
     n = 17
     rng = np.random.default_rng(17)
     circuits = [Circuit(n, [random_gate(n, rng) for _ in range(24)]) for _ in range(4)]
     state = random_state(n, seed=17, dtype=np.float64)
     alone = [run_circuit(c, state).amplitudes.tobytes() for c in circuits]
-    monkeypatch.setattr(statevector, "_pool", None)
-    pools, results = [], [None] * len(circuits)
+    results = [None] * len(circuits)
 
     def run(k):
-        pools.append(statevector._helper())
         results[k] = run_circuit(circuits[k], state).amplitudes.tobytes()
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(circuits))]
@@ -757,11 +781,36 @@ def test_threads_running_circuits_at_once_share_one_helper(monkeypatch):
             thread.join(timeout=30.0)
     finally:
         sys.setswitchinterval(interval)
-        if statevector._pool is not None:
-            statevector._pool.shutdown()
     assert not any(thread.is_alive() for thread in threads)
     assert results == alone
-    assert len({id(pool) for pool in pools}) == 1
+
+
+def test_a_circuit_still_running_at_interpreter_shutdown_finishes():
+    # The main thread returns while a non-daemon thread runs its first
+    # passes of several tiles, so the helper is made and used while the
+    # interpreter is shutting down.
+    n = 18
+    ops = [h(q) for q in range(n)] + [mcx([0, 5], 17), x(3), mcz([2, 9]), h(0)]
+    expected = run_circuit(Circuit(n, ops), new_zero_state(n)).amplitudes.tobytes()
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import hashlib, threading, time\n"
+        "from qperc import statevector as sv\n"
+        "sv._WALKERS = 2\n"
+        f"n = {n}\n"
+        "ops = [sv.h(q) for q in range(n)] + [sv.mcx([0, 5], 17), sv.x(3), sv.mcz([2, 9]), sv.h(0)]\n"
+        "def run():\n"
+        "    time.sleep(0.2)\n"
+        "    state = sv.run_circuit(sv.Circuit(n, ops), sv.new_zero_state(n))\n"
+        "    print(hashlib.sha256(state.amplitudes.tobytes()).hexdigest())\n"
+        "threading.Thread(target=run).start()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == hashlib.sha256(expected).hexdigest()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -769,13 +818,13 @@ def test_threads_running_circuits_at_once_share_one_helper(monkeypatch):
 @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
 def test_a_child_made_by_fork_walks_tiles_without_the_parents_helper(monkeypatch):
     # The helper thread does not exist in a child made by fork; a child
-    # that kept the parent's executor would wait on it for ever.
+    # that kept the parent's helper would wait on it for ever.
     monkeypatch.setattr(statevector, "_WALKERS", 2)
     n = 18
     ops = [h(q) for q in range(n)] + [mcx([0, 5], 17), x(3), mcz([2, 9])]
     circuit = Circuit(n, ops)
     expected = run_circuit(circuit, new_zero_state(n)).amplitudes.tobytes()
-    assert statevector._pool is not None
+    assert statevector._helper is not None
     pid = os.fork()
     if pid == 0:
         code = 1
