@@ -17,17 +17,15 @@ from .dataset import (
 )
 from .perceptron import (
     DEFAULT_SHOTS,
-    MAX_DATA_QUBITS,
     PerceptronConfig,
     assemble_perceptron_circuit,
-    check_value,
     closed_form_probability,
     measure,
     measure_many,
 )
 from .render import PatternGrid, pattern_grid, render_ascii, render_pgm
+from .rules import MAX_DATA_QUBITS, MAX_QUBITS, check_value
 from .statevector import (
-    MAX_QUBITS,
     Circuit,
     GateOp,
     StateVector,

@@ -28,10 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, atomic_writer, check_probability, format_12g
-from .ioutil import is_probability, placed, read_lines, split_table
-from .perceptron import BLOCK_ROWS, PerceptronConfig, check_value, measure_many
-from .statevector import check_choice, check_int
+from .ioutil import atomic_write_text, atomic_writer, format_12g, placed
+from .ioutil import read_lines, split_table
+from .perceptron import BLOCK_ROWS, PerceptronConfig, measure_many
+from .rules import check_choice, check_int, check_probability, check_value
+from .rules import is_probability
 
 CSV_HEADER = "value,label,probability"
 

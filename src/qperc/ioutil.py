@@ -1,6 +1,6 @@
 """Atomic file writes (temp file beside the target, then rename), UTF-8
-reads, CSV table checks whose errors name the line, the one probability
-rule and its 12-digit text, and `placed`, which places a rule's message.
+reads, CSV table checks whose errors name the line, a probability's
+12-digit text, and `placed`, which places a rule's message.
 """
 
 from __future__ import annotations
@@ -135,25 +135,6 @@ def round_12g(values: np.ndarray) -> np.ndarray:
     """float(format(p, ".12g")) for every value, in the shape of values."""
     texts, index = format_12g(values)
     return np.array([float(t) for t in texts])[index]
-
-
-def is_probability(p: float | np.ndarray) -> bool | np.ndarray:
-    """Whether p (or each entry of it) is in [0, 1 + 1e-9], the range every
-    loader takes, as summed squares can overshoot 1; NaN is outside."""
-    return (p >= 0.0) & (p <= 1.0 + 1e-9)
-
-
-def check_probability(name: str, value: object, parse: bool = False) -> float:
-    """The one rule for a stored probability: return `value`'s number, or raise
-    ValueError, starting with `name`, unless it is an int or float (no bool),
-    or with parse a CSV cell float() reads, that passes is_probability."""
-    try:
-        number = float(value) if parse else value
-    except ValueError:
-        number = None
-    if type(number) not in (int, float) or not is_probability(number):
-        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-    return number
 
 
 def placed(

@@ -47,18 +47,13 @@ a weight per input share one path (a one-row n=4 `measure` takes about
 60 us on a 2-core Xeon); the per-row cost is one sign row and about 2m
 float operations, in blocks of up to BLOCK_ROWS rows, so each step is one
 numpy call per block. Sampled mode adds one call of
-`statevector.sample_rates` per block: it hashes each row's key to a
+`sampling.sample_rates` per block: it hashes each row's key to a
 uniform and reads the row's hit count off one inverse binomial CDF table
 per distinct P. The call's blocks share one dict of tables, so each
 table is built once per call, when a row first needs it; a block's size
 bounds the uniforms as it bounds the amplitudes, and the tables are at most
-one per distinct P of the circuit (13 at n=4).
-
-`statevector.check_int` checks every integer setting, n's through
-`check_n`, and `statevector.check_choice` every named choice. `check_value`
-is the one rule for encoded values, alone or in a 1-D column. Each message
-starts with the name of the value it rejects; the CLI and the dataset
-sidecar parser name their flag or field from that first word.
+one per distinct P of the circuit (13 at n=4). Every setting and value is
+checked by its rule in `rules`.
 """
 
 from __future__ import annotations
@@ -68,21 +63,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .statevector import (
-    _INV_SQRT2,
-    Circuit,
-    GateOp,
-    check_choice,
-    check_int,
-    check_shots,
-    h,
-    mcx,
-    mcz,
-    sample_rates,
-    x,
-)
-
-MAX_DATA_QUBITS = 4
+from .rules import check_choice, check_int, check_n, check_shots, check_value
+from .sampling import sample_rates
+from .statevector import _INV_SQRT2, Circuit, GateOp, h, mcx, mcz, x
 
 MODES = ("exact", "sampled")
 
@@ -118,34 +101,6 @@ class PerceptronConfig:
         if self.mode == "sampled":
             check_shots(self.shots)
         check_int("seed", self.seed, 0)
-
-
-def check_n(n: int) -> None:
-    """Raise ValueError unless n is an int, 1 <= n <= MAX_DATA_QUBITS."""
-    check_int("n", n, 1, MAX_DATA_QUBITS)
-
-
-def check_value(value: int | Sequence[int], n: int, what: str) -> int:
-    """Return m = 2^n, or raise ValueError naming `what` and the first of
-    `value` (one value or a 1-D column) that is not a whole number in [0, 2^m).
-
-    n is checked first, so a large n raises before 2^(2^n) is built. The
-    test reads "not inside" so that NaN fails it; ints past int64 make an
-    object array, which compares like the ints it holds.
-    """
-    check_n(n)
-    m = 1 << n
-    array = np.asarray(value)
-    with np.errstate(invalid="ignore"):  # inf % 1 and NaN in an object array warn
-        outside = ~((array >= 0) & (array < 1 << m) & (array % 1 == 0))
-    if array.ndim > 1 or outside.any():
-        # Index the caller's column, not the array: a list mixing -1 and
-        # 2^63 becomes float64 and would print -1 as -1.0.
-        bad = value[int(np.argmax(outside))] if array.ndim == 1 else value
-        raise ValueError(
-            f"{what} must be in [0, {(1 << m) - 1}] for n={n}, got {bad}"
-        )
-    return m
 
 
 def _sign_flips(value: int, n: int) -> list[GateOp]:
@@ -219,6 +174,7 @@ def measure_many(
     gets the same estimate.
     """
     n = config.n
+    check_int("epoch", epoch, 0)
     if not isinstance(inputs, (np.ndarray, Sequence)):
         inputs = list(inputs)
     check_value(inputs, n, "input value")

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perceptron import check_value
-from .statevector import check_int
+from .rules import check_int, check_value
 
 FILLED_CHAR = "█"
 EMPTY_CHAR = "·"

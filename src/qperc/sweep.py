@@ -13,7 +13,7 @@ weight-major, one weight per row. Cells are stored at the file format's
 matrices agree exactly; each distinct float is formatted once. A CSV
 matrix is 4, 16 or 256 square, and `load_sweep_csv` reads it through
 `ioutil.split_table`, the structure reader it shares with `load_dataset`,
-then each cell by `ioutil.check_probability`, the dataset's rule.
+then each cell by `rules.check_probability`, the dataset's rule.
 
 In exact mode every cell is also checked against the closed-form
 probability and the largest absolute deviation is kept on the result.
@@ -30,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, check_probability, format_12g, placed
+from .ioutil import atomic_write_text, format_12g, placed
 from .ioutil import read_lines, round_12g, split_table
 from .perceptron import PerceptronConfig, closed_form_probability, measure_many
-from .statevector import check_choice
+from .rules import check_choice, check_probability
 
 MAX_SWEEP_QUBITS = 3
 

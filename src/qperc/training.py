@@ -37,7 +37,7 @@ contradict itself. Each step goes to a sink as soon as it is made. train()
 collects them in TrainResult.trace by default; trace_writer() is a sink
 that streams them to a JSON-lines file of all nine keys, in the format
 save_trace writes, so a long run holds no trace in memory. load_trace
-checks each field by its rule, p1's being `ioutil.check_probability`,
+checks each field by its rule, p1's being `rules.check_probability`,
 builds the step from the six stored fields and compares the three derived
 ones with its properties; a fault reads
 `<path>: line k: field '<name>': <message>`.
@@ -55,9 +55,10 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .dataset import Dataset, label_from_probability
-from .ioutil import atomic_writer, check_probability, placed, read_lines
-from .perceptron import MAX_DATA_QUBITS, check_n, check_value, measure_many
-from .statevector import check_choice, check_int
+from .ioutil import atomic_writer, placed, read_lines
+from .perceptron import measure_many
+from .rules import MAX_DATA_QUBITS, check_choice, check_int, check_learning_rate
+from .rules import check_n, check_probability, check_value
 
 ACTIONS = ("none", "flip_non_matching", "flip_matching")
 
@@ -66,13 +67,6 @@ CONVERGENCE_MODES = ("strict", "functional")
 # Rows in the first look-ahead chunk after a weight change; each chunk used
 # up without a change doubles the next.
 LOOKAHEAD_ROWS = 64
-
-
-def _check_learning_rate(rate: float) -> None:
-    """Raise ValueError unless `rate` is a real number, no bool, in (0, 1]."""
-    number = isinstance(rate, (int, float, np.integer, np.floating))
-    if isinstance(rate, bool) or not (number and 0.0 < rate <= 1.0):
-        raise ValueError(f"learning_rate must be in (0, 1], got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class TrainConfig:
     convergence_mode: str = "functional"
 
     def __post_init__(self):
-        _check_learning_rate(self.learning_rate)
+        check_learning_rate(self.learning_rate)
         check_int("max_epochs", self.max_epochs, 1)
         check_int("seed", self.seed, 0)
         check_choice("convergence_mode", self.convergence_mode, CONVERGENCE_MODES)
@@ -180,7 +174,7 @@ def flip_bits(
     weight and the flipped positions, ascending. The candidates must be
     distinct: a repeated one could be drawn twice and flip back.
     """
-    _check_learning_rate(learning_rate)
+    check_learning_rate(learning_rate)
     positions = sorted(candidates)
     if not positions:
         raise ValueError("candidates must be non-empty")

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import qperc.training as training
 from qperc.cli import main
 from qperc.dataset import load_dataset
 from qperc.perceptron import measure_many
-from qperc.statevector import MAX_SHOTS
+from qperc.rules import MAX_SHOTS
 from qperc.sweep import load_sweep_csv
 from qperc.training import TrainConfig, init_weight, load_trace, save_trace, train
 
@@ -592,18 +593,40 @@ def test_importing_the_cli_starts_no_thread():
     # The gate kernels' helper thread waits for the first pass of two or
     # more tiles, which no CLI command's register of at most 5 qubits
     # makes, and is a plain threading.Thread: concurrent.futures, with the
-    # logging it imports, stays out of every CLI process.
+    # logging it imports, stays out of every CLI process. The CLI loads
+    # every qperc module.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
         "import sys, threading, qperc.cli; "
         "assert 'concurrent.futures' not in sys.modules; "
-        "assert threading.active_count() == 1, threading.enumerate()"
+        "assert threading.active_count() == 1, threading.enumerate(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'qperc'))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    modules = ["cli", "dataset", "ioutil", "perceptron", "render", "rules", "sampling",
+               "statevector", "sweep", "training"]
+    assert result.stdout == f"{['qperc'] + [f'qperc.{m}' for m in modules]}\n"
+
+
+def _qperc_imports(module):
+    """The modules `module`'s source imports from qperc, relative ones as ".name"."""
+    path = Path(__file__).resolve().parents[1] / "src" / "qperc" / f"{module}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return {name for name in found if name.startswith((".", "qperc"))}
+
+
+def test_rules_and_sampling_sit_at_the_bottom_of_the_import_graph():
+    assert _qperc_imports("rules") == set()
+    assert _qperc_imports("sampling") == {".rules"}
 
 
 # Every flag value a library rule rejects: the rule's own message, with the

@@ -24,8 +24,8 @@ from qperc import (
     pattern_grid,
     train,
 )
-from qperc.perceptron import check_n
-from qperc.statevector import Circuit, check_shots, new_zero_state
+from qperc.rules import check_n, check_shots
+from qperc.statevector import Circuit, StateVector, new_zero_state, sample_qubit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,6 +97,14 @@ _REJECTIONS = [
     ("learning_rate", lambda: flip_bits(0, [1, 2], 2.0, np.random.default_rng(0))),
     ("learning_rate", lambda: flip_bits(0, [1, 2], 0.0, np.random.default_rng(0))),
     ("learning_rate", lambda: flip_bits(0, [1, 2], -1.0, np.random.default_rng(0))),
+    ("num_qubits", lambda: StateVector(True, [0.0, 1.0])),
+    ("num_qubits", lambda: StateVector(2.0, np.zeros(4))),
+    ("num_qubits", lambda: StateVector(0, [1.0])),
+    ("num_qubits", lambda: StateVector(-1, [1.0])),
+    ("seed", lambda: sample_qubit(new_zero_state(1), 0, 10, -1)),
+    ("seed", lambda: sample_qubit(new_zero_state(1), 0, 10, [1, 1.5])),
+    ("epoch", lambda: measure_many([0], 0, PerceptronConfig(n=2, mode="sampled"), epoch=True)),
+    ("epoch", lambda: measure_many([0], 0, _N2, epoch=1.5)),
 ]
 
 

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from scipy.stats import binom, chisquare
 
 from qperc import statevector
+from qperc.rules import MAX_SHOTS
+from qperc.sampling import _binomial_cdf, _mix64, _uniforms, sample_rates
 from qperc.statevector import (
-    MAX_SHOTS,
     Circuit,
     GateOp,
     StateVector,
@@ -30,10 +31,9 @@ from qperc.statevector import (
     prob_qubit_one,
     run_circuit,
     sample_qubit,
-    sample_rates,
     x,
 )
-from qperc.statevector import _apply_inplace, _binomial_cdf, _mix64, _uniforms
+from qperc.statevector import _apply_inplace
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
