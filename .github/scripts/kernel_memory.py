@@ -6,9 +6,13 @@ One gate of each kind on the 128 MB float64 state `new_zero_state` gives,
 then on a 256 MB complex128 state: per walker, its scratch stays within
 one tile of the state's dtype (MCX copies one tile; two for H, whose
 in-place add numpy copies through, and none for MCZ, which negates its
-hit states in place), and a pass has `statevector._WALKERS` walkers, the
+hit states in place), and a walk has `statevector._WALKERS` walkers, the
 calling thread and a helper thread, each on half of its tiles, as
-tests/test_statevector.py checks on states of several tiles. An X costs
+tests/test_statevector.py checks on states of several tiles. MCZ runs
+twice: on one qubit, and on three whose hit does not flatten to one
+stride, which numpy multiplies through its ufunc buffers; the walks
+shrink those to `statevector._BUFSIZE` elements, so both stay within
+the 2**14 bytes each walker is allowed beside its tiles. An X costs
 no pass until the end of the call; then one pass, which copies one tile
 per walker, covers every pending qubit inside a tile, and one covers each
 pending qubit above a tile. X runs alone at both ends of the register,
@@ -30,7 +34,11 @@ from qperc import statevector as sv
 n = sv.MAX_QUBITS
 run = [sv.h(n - 1), sv.x(n - 2), sv.h(n - 3), sv.mcz([0, n - 1]), sv.mcx([1, 2], n - 1)]
 cases = [
-    (op,) for op in (sv.h(n - 4), sv.x(0), sv.x(n - 1), sv.mcz([0]), sv.mcx([0], n - 1))
+    (op,)
+    for op in (
+        sv.h(n - 4), sv.x(0), sv.x(n - 1), sv.mcz([0]), sv.mcz([1, n - 12, n - 5]),
+        sv.mcx([0], n - 1),
+    )
 ]
 pending = [sv.x(0), sv.x(3), sv.x(n - 1), sv.x(n - 5), sv.x(n - 9)]
 

@@ -9,24 +9,29 @@ the last axis, so on a block of states, one per row, each row gets the
 arithmetic `run_circuit` gives a single state.
 
 The kernels work in place on reshaped views of the amplitudes and cache
-no arrays. H, MCZ and MCX each walk the state once, in tiles of 2^16
-amplitudes. MCZ is diagonal: it negates the states where all its
-qubits are 1, in place, and neither reads nor writes a tile that holds
-none of them. An X costs no pass until the end of the call: it is kept as
-a pending bit flip that the next H, MCZ or MCX on its qubit reads
-through, with the same bytes as X then that gate. At the end, one pass
-covers every pending qubit inside a tile, and one pass covers each
-pending qubit above a tile. A pass of two or more tiles splits them
-between two walkers, the calling thread and one daemon helper thread,
-which is made the first time such a pass runs (a state of 17 or more
-qubits), serves one caller at a time and is dropped in a child made by
-fork; tiles are disjoint and each gets the same arithmetic, so the bytes
-do not depend on the split. A pass's
-scratch memory is bounded by the tile, whatever the register size: per
-walker, one tile for X and MCX, two for H and none for MCZ, so at most
-about 2 MB of float64 (4 MB of complex128) against 128 MB of real state
-at the cap. MCZ's is only the buffers numpy runs a hit through when it
-does not flatten to one stride.
+no arrays. They walk the state in tiles of 2^17 amplitudes. A gate whose
+(zero, one) pairs fit in a tile is tile-local, as every MCZ is; each run
+of consecutive tile-local gates streams the state once, applying every
+gate of the run to a tile before the next, and an H or MCX on a qubit
+above a tile walks the state alone. MCZ is diagonal: it negates the
+states where all its qubits are 1, in place, and neither reads nor
+writes a tile that holds none of them. An X costs no pass until the end
+of the call: it is kept as a pending bit flip that the next H, MCZ or
+MCX on its qubit reads through, with the same bytes as X then that
+gate. At the end, one tile-local pass covers every pending qubit inside
+a tile, and one pass covers each pending qubit above a tile.
+`run_circuit` copies its input into place in its first walk, not in a
+walk of its own. A walk of two or more tiles splits them between two
+walkers, the calling thread and one daemon helper thread, which is made
+the first time such a walk runs (a state of 18 or more qubits), serves
+one caller at a time and is dropped in a child made by fork; tiles are
+disjoint and each gets the same arithmetic, so the bytes do not depend
+on the split. A gate's scratch memory is bounded by the tile, whatever
+the register size: per walker, one tile for X and MCX, two for H and
+none for MCZ, so at most about 4 MB of float64 (8 MB of complex128)
+against 128 MB of real state at the cap. MCZ's is only the ufunc
+buffers, of 256 elements while the kernels walk, that numpy runs a hit
+through when it does not flatten to one stride.
 
 The gate set is real, so a state that starts real stays real: real
 amplitudes are held as float64 and complex ones as complex128, and the
@@ -42,7 +47,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,11 +56,18 @@ from .sampling import sample_rates
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Amplitudes per tile in _apply_inplace, a power of two: 512 KB of float64
-# or 1 MB of complex128, which stays in a 2 MB L2 while a gate works on them.
-_TILE = 1 << 16
+# Amplitudes per tile in _apply_inplace, a power of two: 1 MB of float64
+# or 2 MB of complex128. A float64 tile stays in a 2 MB L2 while a run of
+# gates works on it; at 20 qubits only qubits 0-2 lie above a tile.
+_TILE = 1 << 17
 
-# Threads that walk one pass's tiles: the caller, and one helper when this
+# Elements per numpy ufunc buffer while _apply_inplace walks. numpy copies
+# an in-place ufunc on a strided half or hit through buffers; at its
+# default of 8192 elements a float64 buffer is 64 KB, more than an L1
+# cache holds, and at 256 it is 2 KB. MCZ's scratch shrinks to match.
+_BUFSIZE = 256
+
+# Threads that share a walk's tiles: the caller, and one helper when this
 # process may run on a second CPU. The helper is made on first use.
 _WALKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -287,12 +299,12 @@ def _passes(ops: list[GateOp], n: int) -> Iterable[_Gate]:
 
 
 class _Helper:
-    """A daemon thread that walks the second half of a pass's tiles.
+    """A daemon thread that walks the second half of a walk's tiles.
 
     One caller at a time holds `busy`. It puts the walk in `job`, with a
-    list for the walk's exception and a `done` lock of the pass's own, and
+    list for the walk's exception and a `done` lock of the walk's own, and
     releases `todo`; the thread runs the walk, then releases `busy`, so
-    the caller finds it free on its next pass, and `done`. Being a daemon
+    the caller finds it free on its next walk, and `done`. Being a daemon
     that waits only on these locks, the thread outlives no process and
     needs nothing from interpreter shutdown.
     """
@@ -313,23 +325,23 @@ class _Helper:
                 walk()
             except BaseException as error:
                 errors.append(error)
-            # Hold no view of the walked state between passes.
+            # Hold no view of the walked state between walks.
             walk = errors = None
             self.busy.release()
             done.release()
 
-    def share(self, view: np.ndarray, tiles: Sequence[int], pairs: int, gate: _Gate) -> None:
-        """Walk the second half of `tiles` on the helper, under the caller's
-        contextvars context, and the first on the caller, who holds `busy`;
-        return once both halves are done."""
+    def share(self, walk: Callable[[Sequence[int]], None], tiles: Sequence[int]) -> None:
+        """Run `walk` on the second half of `tiles` on the helper, under the
+        caller's contextvars context, and on the first on the caller, who
+        holds `busy`; return once both halves are done."""
         half = len(tiles) // 2
         errors, done = [], threading.Lock()
         done.acquire()
         run = contextvars.copy_context().run
-        self.job = (partial(run, _walk, view, tiles[half:], pairs, gate), errors, done)
+        self.job = (partial(run, walk, tiles[half:]), errors, done)
         self.todo.release()
         try:
-            _walk(view, tiles[:half], pairs, gate)
+            walk(tiles[:half])
         finally:
             done.acquire()
         if errors:
@@ -349,7 +361,7 @@ if hasattr(os, "register_at_fork"):
 
 def _free_helper() -> _Helper | None:
     """The helper, made on first use, with its `busy` lock taken for one
-    pass; None while another caller holds it, or when no thread can start
+    walk; None while another caller holds it, or when no thread can start
     (as once the interpreter is finalising)."""
     global _helper
     with _helper_lock:
@@ -362,61 +374,119 @@ def _free_helper() -> _Helper | None:
     return helper if helper.busy.acquire(blocking=False) else None
 
 
-def _apply_inplace(amps: np.ndarray, num_qubits: int, ops: Iterable[GateOp]) -> None:
+def _apply_inplace(
+    amps: np.ndarray,
+    num_qubits: int,
+    ops: Iterable[GateOp],
+    source: np.ndarray | None = None,
+) -> None:
     """Apply gates in order along the last axis of a C-contiguous state or block.
 
     Every op is checked against the register before any is applied, so an
-    op out of range raises with the amplitudes unchanged. H, MCZ and MCX
-    walk the amplitudes once each, as (zero, one) pairs of the pass's
-    stride s: a tile is as many whole pairs as fill _TILE amplitudes, or,
-    when one pair does not fit, a zero-half chunk of half a tile with its
-    matching one-half chunk. An X costs no pass until the end of the call
-    (see _passes): then one pass covers every pending qubit inside a tile,
-    and one pass covers each pending qubit above a tile.
+    op out of range raises with the amplitudes unchanged. A pass is
+    tile-local when a (zero, one) pair of its stride s fits in a tile
+    (width == s): every MCZ, and every H or MCX whose target lies inside a
+    tile. Each run of consecutive tile-local passes walks the amplitudes
+    once, in contiguous chunks of _TILE, and applies each pass of the run
+    to a chunk, in order, unless the chunk's start (its first amplitude's
+    offset) fails a control the pass fixes. Any other pass walks alone, as
+    zero-half chunks of half a tile, each with its matching one-half
+    chunk. X's cost no pass until the end of the call (see _passes).
 
-    A pass numbers the tiles it could touch (see _corner) and walks those
-    it acts on: every tile for H, whose `fixed` is 0, as a range, and for
-    X, MCZ and MCX a list of those whose start holds each control it fixes
-    at its wanted bit. With _WALKERS at 2, two or more such tiles and the
-    helper free, the helper thread walks the second half, under the
-    caller's numpy settings, while the caller walks the first; the caller
-    waits for it before the next pass starts, so gates keep their order.
-    Another caller that finds the helper busy walks its pass alone.
+    With a `source`, the amplitudes are first set to it, as by np.copyto:
+    the first run copies each source chunk into place just before it
+    applies its passes, so the state streams once for both; when the
+    first pass is not tile-local, one np.copyto comes first.
+
+    A walk skips the tiles where none of its passes acts, unless it
+    copies. With _WALKERS at 2, two or more tiles and the helper free, the
+    helper thread walks the second half, under the caller's numpy
+    settings, while the caller walks the first; the caller waits for it
+    before the next walk starts, so gates keep their order. Another caller
+    that finds the helper busy walks alone. Walks run with numpy's ufunc
+    buffers at _BUFSIZE elements, and the caller's buffer size is restored
+    on return.
     """
     ops = list(ops)
     for op in ops:
         _check_op(op, num_qubits)
-    for gate in _passes(ops, num_qubits):
-        view = amps.reshape(-1, 2, gate.s)
-        pairs = max(1, _TILE // (2 * gate.s))
-        tiles = range(-(-len(view) // pairs) * (gate.s // gate.width))
-        if gate.fixed:
-            tiles = [k for k in tiles if _start(k, pairs, gate) & gate.fixed == gate.want]
-        helper = _free_helper() if _WALKERS > 1 and len(tiles) > 1 else None
-        if helper is None:
-            _walk(view, tiles, pairs, gate)
-        else:
-            helper.share(view, tiles, pairs, gate)
+    bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        for run in _runs(_passes(ops, num_qubits)):
+            gate = run[0]
+            if gate.width == gate.s:
+                flat = amps.reshape(-1)
+                tiles = range(-(-len(flat) // _TILE))
+                if source is None:
+                    tiles = [k for k in tiles if any(k * _TILE & g.fixed == g.want for g in run)]
+                else:
+                    source = source.reshape(-1)
+                walk = partial(_walk_run, flat, source, run)
+            else:
+                if source is not None:
+                    np.copyto(amps, source)
+                view = amps.reshape(-1, 2, gate.s)
+                chunks = gate.s // gate.width
+                tiles = range(len(view) * chunks)
+                if gate.fixed:
+                    # Tile k is chunk k % chunks of pair k // chunks.
+                    tiles = [
+                        k
+                        for k in tiles
+                        if (2 * gate.s * (k // chunks) + gate.width * (k % chunks)) & gate.fixed
+                        == gate.want
+                    ]
+                walk = partial(_walk_pass, view, gate)
+            source = None
+            helper = _free_helper() if _WALKERS > 1 and len(tiles) > 1 else None
+            if helper is None:
+                walk(tiles)
+            else:
+                helper.share(walk, tiles)
+        if source is not None:
+            np.copyto(amps, source)
+    finally:
+        np.setbufsize(bufsize)
 
 
-def _corner(k: int, pairs: int, gate: _Gate) -> tuple[int, int]:
-    """Tile k's first pair and first column in the (-1, 2, s) view: tiles
-    are numbered across a pair's chunks, then over blocks of `pairs` pairs."""
-    block, chunk = divmod(k, gate.s // gate.width)
-    return block * pairs, chunk * gate.width
+def _runs(gates: Iterable[_Gate]) -> Iterable[list[_Gate]]:
+    """Group passes in order: each run of consecutive tile-local passes
+    (width == s) as one list, and each other pass as a list of its own."""
+    run = []
+    for gate in gates:
+        if gate.width == gate.s:
+            run.append(gate)
+            continue
+        if run:
+            yield run
+            run = []
+        yield [gate]
+    if run:
+        yield run
 
 
-def _start(k: int, pairs: int, gate: _Gate) -> int:
-    """The offset of tile k's first amplitude."""
-    p, c = _corner(k, pairs, gate)
-    return 2 * gate.s * p + c
+def _walk_run(
+    flat: np.ndarray, source: np.ndarray | None, run: list[_Gate], chunks: Sequence[int]
+) -> None:
+    """Copy each listed _TILE-amplitude chunk of `flat` from the flat
+    `source`, if given, then apply each pass of `run` that acts on it, in
+    order."""
+    for k in chunks:
+        start = k * _TILE
+        chunk = flat[start : start + _TILE]
+        if source is not None:
+            chunk[...] = source[start : start + _TILE]
+        for gate in run:
+            if start & gate.fixed == gate.want:
+                _apply_tile(chunk.reshape(-1, 2, gate.s), gate)
 
 
-def _walk(view: np.ndarray, tiles: Sequence[int], pairs: int, gate: _Gate) -> None:
-    """Apply `gate` to the listed tiles of `view`, shape (-1, 2, s)."""
+def _walk_pass(view: np.ndarray, gate: _Gate, tiles: Sequence[int]) -> None:
+    """Apply `gate` to the listed (1, 2, width) tiles of `view`, shape (-1, 2, s)."""
     for k in tiles:
-        p, c = _corner(k, pairs, gate)
-        _apply_tile(view[p : p + pairs, :, c : c + gate.width], gate)
+        p, c = divmod(k, gate.s // gate.width)
+        c *= gate.width
+        _apply_tile(view[p : p + 1, :, c : c + gate.width], gate)
 
 
 def _apply_tile(tile: np.ndarray, gate: _Gate) -> None:
@@ -434,11 +504,11 @@ def _apply_tile(tile: np.ndarray, gate: _Gate) -> None:
 
     X, MCZ and MCX see a tile as a cube with one size-2 axis per qubit
     whose bit varies inside it (qubit 0 first, after one leading axis); the
-    walk has already passed over the tiles where a control the tile's
+    walk does not apply the pass to a tile where a control the tile's
     start fixes does not hold its wanted bit. MCZ negates its hit states in
-    place, through numpy's two ufunc buffers of at most 8192 amplitudes
-    each when the hit does not flatten to one stride; X and MCX copy their
-    hit from the reversed source through at most a tile.
+    place, through numpy's two ufunc buffers of _BUFSIZE amplitudes each
+    when the hit does not flatten to one stride; X and MCX copy their hit
+    from the reversed source through at most a tile.
     """
     if gate.kind == "H":
         if gate.width <= 4:
@@ -470,8 +540,8 @@ def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
             f"circuit is on {circuit.num_qubits} qubits "
             f"but the state has {state.num_qubits}"
         )
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, circuit.num_qubits, circuit.ops)
+    amps = np.empty_like(state.amplitudes)
+    _apply_inplace(amps, circuit.num_qubits, circuit.ops, source=state.amplitudes)
     return StateVector(circuit.num_qubits, amps)
 
 

@@ -463,11 +463,11 @@ def test_sample_rates_counts_are_binomial(setting, shots, p):
 
 def test_kernels_need_at_most_one_state_sized_temporary():
     # 64 distinct MCZ and 64 distinct MCX gates: a kernel that kept an
-    # index or sign array per gate would grow far past the bound. At 21
-    # qubits the state is 32 tiles, so the passes are walked in halves, and
+    # index or sign array per gate would grow far past the bound. At 22
+    # qubits the state is 32 tiles, so the walks are split in halves, and
     # the walkers' scratch is under a quarter of the state, so a second
     # state-sized temporary cannot pass.
-    n = 21
+    n = 22
     rng = np.random.default_rng(0)
     mczs, mcxs = set(), set()
 
@@ -499,32 +499,31 @@ def test_kernels_need_at_most_one_state_sized_temporary():
 @pytest.mark.parametrize(
     "op",
     [
-        h(0), h(20), h(19), h(11), x(0), x(20), x(19), x(11),
+        h(1), h(21), h(20), h(12), x(1), x(21), x(20), x(12),
         # one qubit, and one control, at either end: the whole tile or
         # every other amplitude of it is hit
-        mcz([0]), mcz([20]), mcx([0], 20), mcx([20], 0),
-        mcz([1, 12, 19]), mcx([3, 15], 9),
-        # X's pending at the end: one pass for each of 0 and 3, above a
-        # tile, and one for 20, 16 and 12 together, inside one
-        (x(0), x(3), x(20), x(16), x(12)),
+        mcz([1]), mcz([21]), mcx([1], 21), mcx([21], 1),
+        mcz([2, 13, 20]), mcx([4, 16], 10),
+        # X's pending at the end: one pass for each of 1 and 4, above a
+        # tile, and one for 21, 17 and 13 together, inside one
+        (x(1), x(4), x(21), x(17), x(13)),
     ],
     ids=repr,
 )
 @EITHER_DTYPE
 def test_each_gate_needs_at_most_a_tile_or_two_of_scratch(op, dtype):
-    n = 21
+    n = 22
     ops = op if isinstance(op, tuple) else (op,)
     amps = random_state(n, seed=2, dtype=dtype).amplitudes
     assert amps.dtype == dtype
     # H's in-place add: when a tile holds several (zero, one) pairs of
     # stride above 4, numpy cannot rule out overlap between the halves and
     # copies through three half-tile buffers beside the half-tile
-    # difference. MCZ negates its hit states in place, but numpy multiplies
-    # a hit that does not flatten to one stride, as mcz([1, 12, 19])'s,
-    # through two ufunc buffers of up to 8192 amplitudes: within a tile.
+    # difference. MCZ negates its hit states in place; numpy multiplies a
+    # hit that does not flatten to one stride, as mcz([2, 13, 20])'s,
+    # through two ufunc buffers of statevector._BUFSIZE amplitudes, which
+    # SLACK_BYTES covers.
     tiles = {"H": 2, "MCZ": 0}.get(ops[0].kind, 1)
-    if op == mcz([1, 12, 19]):
-        tiles = 1
     bound = walkers_scratch(tiles, amps)
     assert bound < amps.nbytes / 4
     tracemalloc.start()
@@ -722,9 +721,58 @@ def test_one_walker_gives_the_bytes_of_two(monkeypatch, tile):
     assert one.tobytes() == two.tobytes()
 
 
+@pytest.mark.parametrize("walkers", [1, 2])
+@pytest.mark.parametrize("tile", [statevector._TILE, 16])
+@pytest.mark.parametrize(
+    "ops",
+    [
+        [],
+        # X's alone, all inside a tile: the only pass is the end pass
+        [x(15), x(17), x(16), x(17)],
+        # the first pass is paired: h(0) lies above a tile
+        [h(0), mcz([3, 17]), x(5), h(17), mcx([2], 16)],
+        # the first pass is a run, whose one pass skips the tiles where
+        # qubit 0 is 0
+        [mcz([0, 9]), h(0), mcx([0, 4], 12), h(17), x(2), h(9)],
+    ],
+    ids=["empty", "x-only", "paired-first", "run-first"],
+)
+def test_run_circuit_copies_its_input_into_its_first_walk(monkeypatch, tile, walkers, ops):
+    # run_circuit hands its input to _apply_inplace as a source, which the
+    # first run copies chunk by chunk: the result is a copy of the input
+    # and then the gates one by one, and the input is left as it was.
+    monkeypatch.setattr(statevector, "_TILE", tile)
+    monkeypatch.setattr(statevector, "_WALKERS", walkers)
+    n = 18
+    state = random_state(n, seed=35, dtype=np.float64)
+    before = state.amplitudes.tobytes()
+    expected = state.amplitudes.copy()
+    for op in ops:
+        _apply_inplace(expected, n, (op,))
+    got = run_circuit(Circuit(n, ops), state).amplitudes
+    assert state.amplitudes.tobytes() == before
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("op", [h(0), h(17)], ids=repr)
+def test_apply_inplace_restores_the_callers_ufunc_buffer_size(monkeypatch, op):
+    # The walks run with small ufunc buffers, the helper's half too; the
+    # caller's buffer size is back once _apply_inplace returns or raises.
+    # Leaving errstate restores numpy's default buffer size with it.
+    monkeypatch.setattr(statevector, "_WALKERS", 2)
+    n = 18
+    with np.errstate(over="raise"):
+        np.setbufsize(4096)
+        _apply_inplace(np.ones(1 << n), n, [op, mcz([1, 5, 9])])
+        assert np.getbufsize() == 4096
+        with pytest.raises(FloatingPointError):
+            _apply_inplace(np.full(1 << n, 1e308), n, [op])
+        assert np.getbufsize() == 4096
+
+
 def test_the_helper_walks_under_the_callers_numpy_error_settings(monkeypatch):
-    # H's sum overflows in all four tiles of h(0) at 18 qubits, two of
-    # which the helper walks: the caller's errstate holds for them too.
+    # H's sum overflows in both tiles of h(0) at 18 qubits, one of which
+    # the helper walks: the caller's errstate holds for it too.
     monkeypatch.setattr(statevector, "_WALKERS", 2)
     n = 18
     amps = np.full(1 << n, 1e308)
@@ -759,9 +807,9 @@ def test_the_helper_holds_no_state_after_a_pass(monkeypatch, fails):
 
 def test_threads_running_circuits_at_once_get_the_bytes_they_get_alone(monkeypatch):
     # Four callers on two CPUs, switching every microsecond: one at a time
-    # shares a pass with the helper, and the others walk theirs alone.
+    # shares a walk with the helper, and the others walk theirs alone.
     monkeypatch.setattr(statevector, "_WALKERS", 2)
-    n = 17
+    n = 18
     rng = np.random.default_rng(17)
     circuits = [Circuit(n, [random_gate(n, rng) for _ in range(24)]) for _ in range(4)]
     state = random_state(n, seed=17, dtype=np.float64)
